@@ -12,12 +12,14 @@
 // patterns with equal text have equal semantics) and union members are
 // sorted (union containment is order-independent).
 //
-// A memo is bound to ONE summary: the key deliberately omits it, so share a
-// memo only across calls that use the same summary, and Clear() it whenever
-// the underlying document (and hence the summary) changes. Each
-// CatalogSnapshot pins a memo with exactly this lifecycle: shared across
-// Rewrite() calls against that snapshot, replaced when a maintenance pass
-// publishes a snapshot with a new document.
+// A memo is bound to ONE summary up to structural equality: the key
+// deliberately omits it, so share a memo only across calls whose summaries
+// are StructurallyEquals (a document change that leaves the summary's
+// labels, shape and edge flags as they were keeps every decision valid).
+// The ViewCatalog keeps one memo per summary class with exactly this
+// lifecycle: every epoch whose summary is structurally equal — whichever
+// updates came in between — shares it, and a new summary gets a new memo
+// (view_catalog.h).
 //
 // Thread-safe: the table is guarded by an internal mutex so concurrent
 // readers of one snapshot can share the memo. Lookups and inserts lock;
@@ -58,7 +60,7 @@ class ContainmentMemo {
       const Summary& summary, const ContainmentOptions& options,
       const std::vector<CanonicalTree>* p_model = nullptr) SVX_EXCLUDES(mu_);
 
-  /// Drops every entry (call when the summary changes).
+  /// Drops every entry.
   void Clear() SVX_EXCLUDES(mu_);
 
   size_t hits() const SVX_EXCLUDES(mu_);

@@ -262,6 +262,31 @@ Counter* RewriteCacheMisses() {
       "RewriteCache lookups that fell through to the rewriter");
   return m;
 }
+Counter* RewriteCacheInvalidations(InvalidationCause cause) {
+  constexpr std::string_view kHelp =
+      "Epoch publishes that left the served rewrite cache cold, by cause";
+  static Counter* const view_set = MetricRegistry::Global().counter(
+      "svx_rewrite_cache_invalidations_total{cause=\"view_set\"}", kHelp);
+  static Counter* const summary_new = MetricRegistry::Global().counter(
+      "svx_rewrite_cache_invalidations_total{cause=\"summary_new\"}", kHelp);
+  static Counter* const no_summary = MetricRegistry::Global().counter(
+      "svx_rewrite_cache_invalidations_total{cause=\"no_summary\"}", kHelp);
+  switch (cause) {
+    case InvalidationCause::kViewSet:
+      return view_set;
+    case InvalidationCause::kSummaryNew:
+      return summary_new;
+    case InvalidationCause::kNoSummary:
+      return no_summary;
+  }
+  return view_set;
+}
+Counter* SummaryClassReuses() {
+  static Counter* const m = MetricRegistry::Global().counter(
+      "svx_summary_class_reuses_total",
+      "Document changes whose summary matched a kept summary class");
+  return m;
+}
 
 Counter* PlansGenerated() {
   static Counter* const m = MetricRegistry::Global().counter(
@@ -499,6 +524,8 @@ void RegisterStandardMetrics() {
   RewriteLatencyUs();
   RewriteCacheHits();
   RewriteCacheMisses();
+  RewriteCacheInvalidations(InvalidationCause::kViewSet);
+  SummaryClassReuses();
   PlansGenerated();
   PlansDominated();
   PlanEnumLatencyUs();

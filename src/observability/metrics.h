@@ -231,6 +231,17 @@ Histogram* RewriteLatencyUs();
 Counter* RewriteCacheHits();
 Counter* RewriteCacheMisses();
 
+/// Why a published epoch could not serve its predecessor's cached
+/// rewritings: the view set changed, the document changed to a summary no
+/// summary class holds, or the document changed without a summary.
+enum class InvalidationCause { kViewSet, kSummaryNew, kNoSummary };
+/// svx_rewrite_cache_invalidations_total{cause="view_set"|"summary_new"|
+/// "no_summary"}.
+Counter* RewriteCacheInvalidations(InvalidationCause cause);
+/// Document-changing publishes whose summary matched a kept summary class,
+/// so the epoch reused that class's rewrite cache, memo and view indexes.
+Counter* SummaryClassReuses();
+
 // Plan enumeration (DP rewriter search).
 Counter* PlansGenerated();
 Counter* PlansDominated();

@@ -1,7 +1,9 @@
 #include "src/rewriting/rewriter.h"
 
 #include <algorithm>
+#include <functional>
 #include <limits>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -742,7 +744,42 @@ class RewriteSession {
 Rewriter::Rewriter(const Summary& summary, RewriterOptions options)
     : summary_(summary), options_(std::move(options)) {}
 
-void Rewriter::AddView(ViewDef def) { views_.push_back(std::move(def)); }
+void Rewriter::AddView(ViewDef def) {
+  // Order-sensitive combination of the name and every node component
+  // PatternToString prints (label, axis, edge flags, attributes, predicate,
+  // children in order) — the pattern's text without building it: a
+  // per-query Rewriter adds every view of the epoch, so this runs on every
+  // query.
+  const std::hash<std::string_view> hash;
+  auto mix = [this](uint64_t v) {
+    view_set_fp_ ^= v + 0x9e3779b97f4a7c15ULL + (view_set_fp_ << 6) +
+                    (view_set_fp_ >> 2);
+  };
+  mix(hash(def.name));
+  mix(static_cast<uint64_t>(def.pattern.size()));
+  for (PatternNodeId n = 0; n < def.pattern.size(); ++n) {
+    const Pattern::Node& node = def.pattern.node(n);
+    mix(hash(node.label));
+    mix((static_cast<uint64_t>(static_cast<uint32_t>(node.parent)) << 16) |
+        (static_cast<uint64_t>(node.axis) << 10) |
+        (node.optional ? 1u << 9 : 0u) | (node.nested ? 1u << 8 : 0u) |
+        node.attrs);
+    if (!node.pred.IsTrue()) mix(hash(node.pred.ToString()));
+    for (PatternNodeId c : node.children) mix(static_cast<uint64_t>(c));
+  }
+  views_.push_back(std::move(def));
+}
+
+void RankByCost(const CostModel& model, std::vector<Rewriting>* rewritings) {
+  for (Rewriting& r : *rewritings) r.est_cost = model.EstimateCost(*r.plan);
+  std::stable_sort(rewritings->begin(), rewritings->end(),
+                   [](const Rewriting& a, const Rewriting& b) {
+                     if (a.est_cost != b.est_cost) {
+                       return a.est_cost < b.est_cost;
+                     }
+                     return a.compact < b.compact;
+                   });
+}
 
 Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
                                                  RewriteStats* stats) {
@@ -1271,16 +1308,7 @@ Result<std::vector<Rewriting>> Rewriter::Rewrite(const Pattern& q,
   // ---- Cost-based selection: rank the covers, cheapest plan first. ----
   begin_phase("rank-by-cost");
   if (options_.cost_model != nullptr && !results.empty()) {
-    for (Rewriting& r : results) {
-      r.est_cost = options_.cost_model->EstimateCost(*r.plan);
-    }
-    std::stable_sort(results.begin(), results.end(),
-                     [](const Rewriting& a, const Rewriting& b) {
-                       if (a.est_cost != b.est_cost) {
-                         return a.est_cost < b.est_cost;
-                       }
-                       return a.compact < b.compact;
-                     });
+    RankByCost(*options_.cost_model, &results);
     stats->cheapest_cost = results.front().est_cost;
     stats->costliest_cost = results.back().est_cost;
   }

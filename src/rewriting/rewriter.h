@@ -80,9 +80,10 @@ struct RewriterOptions {
   /// Rewrite() calls.
   bool memoize_containment = true;
   /// Optional cross-call memo (e.g. CatalogSnapshot::containment_memo()),
-  /// pinned by the caller. Borrowed; must outlive the rewriter and must be
-  /// cleared when the summary changes. When null and memoize_containment is
-  /// set, a per-call memo is used instead.
+  /// pinned by the caller. Borrowed; must outlive the rewriter, and must
+  /// only ever have seen summaries StructurallyEquals to this rewriter's
+  /// (the catalog keeps one memo per summary class). When null and
+  /// memoize_containment is set, a per-call memo is used instead.
   ContainmentMemo* memo = nullptr;
   /// Optional prebuilt snapshot-owned view index
   /// (CatalogSnapshot::ViewIndexFor), shared by concurrent readers so each
@@ -158,6 +159,11 @@ struct RewriteStats {
   double total_ms = 0;
 };
 
+/// Re-estimates every rewriting's est_cost under `model` and sorts the list
+/// cheapest first, ties broken by compact form — the ranking Rewrite()
+/// applies when RewriterOptions::cost_model is set.
+void RankByCost(const CostModel& model, std::vector<Rewriting>* rewritings);
+
 /// Rewrites queries over a fixed summary and view set.
 class Rewriter {
  public:
@@ -168,6 +174,13 @@ class Rewriter {
   void AddView(ViewDef def);
 
   int32_t num_views() const { return static_cast<int32_t>(views_.size()); }
+
+  /// Fingerprint of the registered view set: each view's name and pattern
+  /// (everything its PatternToString text shows), in registration order.
+  /// Rewriters whose view sets differ (even with equally many views) get
+  /// different fingerprints, so a shared RewriteCache never serves one the
+  /// other's plans.
+  uint64_t view_set_fingerprint() const { return view_set_fp_; }
 
   const RewriterOptions& options() const { return options_; }
 
@@ -180,6 +193,7 @@ class Rewriter {
   const Summary& summary_;
   RewriterOptions options_;
   std::vector<ViewDef> views_;
+  uint64_t view_set_fp_ = 0;
   /// Signatures for views_[0..index_views_), grown lazily on Rewrite().
   std::unique_ptr<ViewIndex> index_;
 };

@@ -123,6 +123,24 @@ bool Summary::StructurallyEquals(const Summary& other) const {
   return true;
 }
 
+uint64_t Summary::StructuralHash() const {
+  // FNV-1a over (label, parent, flags) per node; a 0xff byte ends each
+  // label so "ab"+"c" and "a"+"bc" differ.
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint64_t byte) {
+    h ^= byte;
+    h *= 0x100000001b3ULL;
+  };
+  for (PathId s = 0; s < size(); ++s) {
+    for (unsigned char c : label(s)) mix(c);
+    mix(0xff);
+    const uint32_t p = static_cast<uint32_t>(parent(s));
+    for (int shift = 0; shift < 32; shift += 8) mix((p >> shift) & 0xff);
+    mix((strong_edge(s) ? 1u : 0u) | (one_to_one(s) ? 2u : 0u));
+  }
+  return h;
+}
+
 PathId Summary::AppendNode(PathId parent, std::string_view label, bool strong,
                            bool one_to_one) {
   SVX_CHECK_MSG(parent != kInvalidPath || size() == 0,

@@ -92,6 +92,11 @@ class Summary {
   /// Structural equality (labels + shape + constraint flags).
   bool StructurallyEquals(const Summary& other) const;
 
+  /// 64-bit hash over exactly what StructurallyEquals compares: equal
+  /// summaries hash equally (the converse is confirmed with
+  /// StructurallyEquals). O(size()).
+  uint64_t StructuralHash() const;
+
   // ---- Construction API (SummaryBuilder / ParseSummary) ----
 
   /// Appends a node under `parent` (kInvalidPath for the root; allowed only

@@ -11,8 +11,9 @@ namespace svx {
 
 const Table& StoredView::extent() const {
   Result<TablePtr> t = table();
-  SVX_CHECK_MSG(t.ok(), "cannot decode extent of view " + def.name + ": " +
-                            t.status().message());
+  SVX_CHECK_MSG(t.ok(), ("cannot decode extent of view " + def.name + ": " +
+                         t.status().message())
+                            .c_str());
   // The slot holds its own reference; the returned reference lives until
   // the budget evicts the table (see header contract).
   return *t.value();
@@ -93,32 +94,37 @@ Catalog CatalogSnapshot::ExecutorCatalog() const {
   return catalog;
 }
 
+std::shared_ptr<const ViewIndex> ViewIndexTable::GetOrBuild(
+    const std::string& key,
+    const std::function<std::shared_ptr<const ViewIndex>()>& build) {
+  MutexLock lock(&mu_);
+  for (const auto& [k, index] : entries_) {
+    if (k == key) return index;
+  }
+  std::shared_ptr<const ViewIndex> index = build();
+  entries_.emplace_back(key, index);
+  return index;
+}
+
 std::shared_ptr<const ViewIndex> CatalogSnapshot::ViewIndexFor(
     const Summary& summary, const ExpansionOptions& e) const {
-  auto build = [&]() {
+  auto build = [&]() -> std::shared_ptr<const ViewIndex> {
     auto index = std::make_shared<ViewIndex>(summary, e);
     for (const auto& v : views_) index->AddView(v->def);
     return index;
   };
-  // Only the snapshot's own summary can key the cache: its lifetime is
-  // pinned by the snapshot, so the identity can never be recycled. A
-  // caller-owned summary could be freed and its address reused by a
-  // different summary while this snapshot lives (ABA), which would serve
-  // an index over the wrong path-id space — build those fresh, uncached.
+  // Only the snapshot's own summary can key the table: its lifetime is
+  // pinned by the snapshot (and by the summary class sharing the table),
+  // so the identity can never be recycled. A caller-owned summary could be
+  // freed and its address reused by a different summary while this
+  // snapshot lives (ABA), which would serve an index over the wrong
+  // path-id space — build those fresh, uncached.
   if (&summary != summary_.get()) return build();
   std::string key = StrFormat(
       "%zu.%zu.%d.%d.%d.%d", e.max_embeddings, e.max_pieces,
       e.max_strengthen_edges, e.unfold_content ? 1 : 0,
       e.add_virtual_ids ? 1 : 0, e.max_virtual_depth);
-  MutexLock lock(&index_mu_);
-  for (const auto& [k, index] : indexes_) {
-    if (k == key) return index;
-  }
-  // Built under the lock: concurrent first readers wait instead of
-  // duplicating the per-view signature computation.
-  auto index = build();
-  indexes_.emplace_back(std::move(key), index);
-  return index;
+  return indexes_->GetOrBuild(key, build);
 }
 
 }  // namespace svx

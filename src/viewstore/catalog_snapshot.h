@@ -1,11 +1,14 @@
 // One immutable epoch of the view store, shared between concurrent readers.
 //
 // The read-mostly serving model (cf. LiquidXML-style redistribution while
-// serving): readers acquire the current CatalogSnapshot with one lock-free
-// atomic load (ViewCatalog::Snapshot()) and then work entirely against its
+// serving): readers acquire the current CatalogSnapshot with one pointer
+// copy (ViewCatalog::Snapshot()) and then work entirely against its
 // immutable world — view definitions, extents, statistics, a prebuilt cost
-// model, a lazily built shared ViewIndex, plus the snapshot's pinned
-// containment memo and rewrite cache (both internally synchronized).
+// model — plus the summary-bound rewrite state the snapshot pins: lazily
+// built shared ViewIndexes, a containment memo and a rewrite cache (all
+// internally synchronized). That state depends only on the summary and the
+// view definitions, so the catalog shares it between every epoch of one
+// summary class (view_catalog.h) instead of rebuilding it per epoch.
 // Writers (Materialize / Add / Drop / ApplyUpdate / Load) never mutate a
 // published snapshot: they build a successor off the read path under the
 // catalog's writer mutex and publish it with a single pointer swap. An old
@@ -17,6 +20,7 @@
 
 #include <chrono>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <utility>
@@ -107,6 +111,25 @@ struct StoredView {
   mutable std::shared_ptr<ValueCountCache> value_counts;
 };
 
+/// The ViewIndexes built over one summary for one view set, keyed by
+/// expansion fingerprint. The catalog shares one table between the epochs of
+/// a summary class until the view set changes. Internally synchronized.
+class ViewIndexTable {
+ public:
+  /// The index under `key`, built by `build` on first request — under the
+  /// lock, so concurrent first readers wait instead of duplicating the
+  /// per-view signature computation.
+  std::shared_ptr<const ViewIndex> GetOrBuild(
+      const std::string& key,
+      const std::function<std::shared_ptr<const ViewIndex>()>& build)
+      SVX_EXCLUDES(mu_);
+
+ private:
+  Mutex mu_;
+  std::vector<std::pair<std::string, std::shared_ptr<const ViewIndex>>>
+      entries_ SVX_GUARDED_BY(mu_);
+};
+
 /// An immutable epoch of the catalog (see file comment). Construction and
 /// publication are the ViewCatalog's business; readers only consume.
 class CatalogSnapshot {
@@ -145,7 +168,9 @@ class CatalogSnapshot {
   /// still resolve content references into it.
   const Document* document() const { return doc_.get(); }
 
-  /// The summary of document(), when bound; nullptr otherwise.
+  /// The summary of document(), when bound; nullptr otherwise. This is the
+  /// catalog's interned summary of the epoch's class: structurally equal
+  /// to the one the publish was given, but possibly an earlier object.
   const Summary* summary() const { return summary_.get(); }
 
   /// Executor bindings for this epoch's extents. Borrowed pointers into the
@@ -155,27 +180,30 @@ class CatalogSnapshot {
   /// Cost model over this epoch's statistics, prebuilt at publication.
   const CostModel& cost_model() const { return cost_model_; }
 
-  /// This epoch's rewrite cache. Fresh per epoch (the successor of a
-  /// mutation starts empty — that is the invalidation), thread-safe, and
-  /// shared by every reader of the epoch.
+  /// This epoch's rewrite cache: its summary class's cache, shared with
+  /// every other epoch of that class and view set (an epoch without a
+  /// summary has one of its own). Thread-safe; a view-set mutation
+  /// publishes successors with fresh caches and leaves this one to the
+  /// epochs already holding it.
   RewriteCache* rewrite_cache() const { return rewrite_cache_.get(); }
 
-  /// This epoch's pinned containment memo (pass as RewriterOptions::memo).
-  /// Thread-safe; replaced whenever a published document change makes the
-  /// summary stale, shared across view-set-only mutations.
+  /// This epoch's containment memo (pass as RewriterOptions::memo): its
+  /// summary class's memo, shared by every epoch whose summary is
+  /// structurally equal — view-set mutations included, since containment
+  /// depends on the summary alone. Thread-safe. A document change without
+  /// a summary gets a fresh memo.
   ContainmentMemo* containment_memo() const { return memo_.get(); }
 
-  /// The shared, snapshot-owned ViewIndex over this epoch's views for
-  /// (summary, expansion) — pass as RewriterOptions::shared_view_index to a
-  /// Rewriter whose views were added in views() order. When `summary` is
-  /// this snapshot's own summary() (the serving path), the index is built
-  /// once per expansion fingerprint under an internal mutex and shared by
-  /// all readers of the epoch, living as long as the snapshot; for any
-  /// other summary (whose lifetime the snapshot cannot pin) a fresh
-  /// uncached index is returned, owned by the caller's shared_ptr.
+  /// The shared ViewIndex over this epoch's views for (summary,
+  /// expansion) — pass as RewriterOptions::shared_view_index to a Rewriter
+  /// whose views were added in views() order. When `summary` is this
+  /// snapshot's own summary() (the serving path), the index is built once
+  /// per expansion fingerprint and shared by every epoch of the summary
+  /// class until the view set changes; for any other summary (whose
+  /// lifetime the snapshot cannot pin) a fresh uncached index is returned,
+  /// owned by the caller's shared_ptr.
   std::shared_ptr<const ViewIndex> ViewIndexFor(
-      const Summary& summary, const ExpansionOptions& expansion) const
-      SVX_EXCLUDES(index_mu_);
+      const Summary& summary, const ExpansionOptions& expansion) const;
 
  private:
   friend class ViewCatalog;
@@ -188,12 +216,8 @@ class CatalogSnapshot {
   std::shared_ptr<const Summary> summary_;
   std::shared_ptr<RewriteCache> rewrite_cache_;
   std::shared_ptr<ContainmentMemo> memo_;
+  std::shared_ptr<ViewIndexTable> indexes_;  // over summary_ and views_
   CostModel cost_model_;
-
-  mutable Mutex index_mu_;
-  mutable std::vector<std::pair<std::string, std::shared_ptr<const ViewIndex>>>
-      indexes_ SVX_GUARDED_BY(index_mu_);  // over summary_, keyed by
-                                           // expansion fingerprint
 };
 
 }  // namespace svx

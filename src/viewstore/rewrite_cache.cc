@@ -31,11 +31,11 @@ bool RewriteCache::Lookup(const std::string& key, std::vector<Rewriting>* out,
   MutexLock lock(&mu_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    ++misses_;
+    counters_->misses.fetch_add(1);
     metrics::RewriteCacheMisses()->Add(1);
     return false;
   }
-  ++hits_;
+  counters_->hits.fetch_add(1);
   metrics::RewriteCacheHits()->Add(1);
   *out = CloneRewritings(it->second.rewritings);
   if (stats != nullptr) {
@@ -76,37 +76,9 @@ void RewriteCache::Insert(const std::string& key,
   entries_[key] = std::move(entry);
 }
 
-void RewriteCache::Invalidate() {
-  MutexLock lock(&mu_);
-  if (!entries_.empty()) ++invalidations_;
-  entries_.clear();
-}
-
-void RewriteCache::CarryCountersFrom(const RewriteCache& prior) {
-  TwoMutexLock lock(&mu_, &prior.mu_);
-  hits_ = prior.hits_;
-  misses_ = prior.misses_;
-  invalidations_ = prior.invalidations_ + (prior.entries_.empty() ? 0 : 1);
-}
-
 size_t RewriteCache::size() const {
   MutexLock lock(&mu_);
   return entries_.size();
-}
-
-size_t RewriteCache::hits() const {
-  MutexLock lock(&mu_);
-  return hits_;
-}
-
-size_t RewriteCache::misses() const {
-  MutexLock lock(&mu_);
-  return misses_;
-}
-
-size_t RewriteCache::invalidations() const {
-  MutexLock lock(&mu_);
-  return invalidations_;
 }
 
 Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
@@ -116,11 +88,12 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
   if (cache == nullptr) return rewriter->Rewrite(q, stats);
   Timer timer;
   // The ranked list depends on the rewriter's configuration and view set,
-  // not just the query — salt the key with every result-affecting option so
-  // rewriters with different configurations sharing one catalog cache do
-  // not serve each other mismatched plans. Distinct cost models or view
-  // sets of equal size are not distinguished; don't share a catalog across
-  // those.
+  // not just the query — salt the key with every result-affecting option
+  // and the view-set fingerprint, so rewriters with different
+  // configurations or view sets sharing one cache do not serve each other
+  // mismatched plans. The summary is not in the key: the catalog keeps one
+  // cache per summary class. Statistics are not either: a hit is re-ranked
+  // below.
   const RewriterOptions& o = rewriter->options();
   const ExpansionOptions& e = o.expansion;
   const ContainmentOptions& c = o.containment;
@@ -133,9 +106,11 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
                                      o.cost_model->default_rows)
           : 0;
   std::string key = StrFormat(
-      "%s|r%zu.v%d.p%d.c%zu.pc%zu.a%zu.u%zu.up%zu.%d%d%d%d.m%llx.dp%d"
+      "%s|r%zu.v%d.%llx.p%d.c%zu.pc%zu.a%zu.u%zu.up%zu.%d%d%d%d.m%llx.dp%d"
       "|e%zu.%zu.%d.%d.%d.%d|k%d.%d.%zu.%zu.%zu.%d",
       RewriteCache::KeyFor(q).c_str(), o.max_results, rewriter->num_views(),
+      static_cast<unsigned long long>(  // NOLINT(runtime/int)
+          rewriter->view_set_fingerprint()),
       o.max_plan_views, o.max_candidates, o.max_pieces, o.max_assignments,
       o.max_union_size, o.max_union_partials, o.prune_views ? 1 : 0,
       o.prune_same_pattern ? 1 : 0, o.stop_at_first ? 1 : 0,
@@ -155,7 +130,14 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
     span.Attr("hit", hit ? "true" : "false");
   }
   if (hit) {
+    // The entry may have been ranked under another epoch's statistics.
+    const bool rerank = o.cost_model != nullptr && !cached.empty();
+    if (rerank) RankByCost(*o.cost_model, &cached);
     if (stats != nullptr) {
+      if (rerank) {
+        stats->cheapest_cost = cached.front().est_cost;
+        stats->costliest_cost = cached.back().est_cost;
+      }
       stats->rewrite_cache_hits = 1;
       stats->results = cached.size();  // authoritative even for entries
                                        // inserted without stats
@@ -170,7 +152,7 @@ Result<std::vector<Rewriting>> CachedRewrite(RewriteCache* cache,
   // A time-budget-truncated search is load-dependent, and a budget-truncated
   // search (search_truncated: a candidate overflowed the merged-piece cap)
   // dropped plans it never examined; caching either would pin a transiently
-  // inferior (possibly empty) plan list until the next catalog mutation.
+  // inferior (possibly empty) plan list for as long as the cache lives.
   if (fresh.ok() && !effective->time_budget_hit &&
       !effective->search_truncated) {
     cache->Insert(key, *fresh, effective);

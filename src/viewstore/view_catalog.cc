@@ -155,8 +155,10 @@ ViewCatalog::ViewCatalog(ViewCatalogOptions options)
   // NOLINTNEXTLINE(modernize-make-shared): private ctor, friend-only access.
   auto initial = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
   initial->epoch_ = next_epoch_++;
-  initial->rewrite_cache_ = std::make_shared<RewriteCache>();
+  cache_counters_ = std::make_shared<RewriteCache::Counters>();
+  initial->rewrite_cache_ = std::make_shared<RewriteCache>(cache_counters_);
   initial->memo_ = std::make_shared<ContainmentMemo>();
+  initial->indexes_ = std::make_shared<ViewIndexTable>();
   snapshot_ = std::move(initial);
 }
 
@@ -188,10 +190,37 @@ void ViewCatalog::SetShardLabel(int shard) {
   }
 }
 
+ViewCatalog::SummaryClass* ViewCatalog::InternLocked(
+    std::shared_ptr<const Summary> summary, bool* reused) {
+  const uint64_t hash = summary->StructuralHash();
+  auto it = std::find_if(
+      classes_.begin(), classes_.end(), [&](const SummaryClass& c) {
+        return c.hash == hash && (c.summary == summary ||
+                                  c.summary->StructurallyEquals(*summary));
+      });
+  *reused = it != classes_.end();
+  if (*reused) {
+    std::rotate(classes_.begin(), it, it + 1);
+  } else {
+    if (classes_.size() >= kSummaryClasses) classes_.pop_back();
+    SummaryClass c;
+    c.hash = hash;
+    c.summary = std::move(summary);
+    c.memo = std::make_shared<ContainmentMemo>();
+    c.cache = std::make_shared<RewriteCache>(cache_counters_);
+    c.indexes = std::make_shared<ViewIndexTable>();
+    classes_.insert(classes_.begin(), std::move(c));
+  }
+  summary_classes_.store(static_cast<int64_t>(classes_.size()),
+                         std::memory_order_relaxed);
+  return &classes_.front();
+}
+
 void ViewCatalog::PublishLocked(
     std::vector<std::shared_ptr<const StoredView>> views,
     std::shared_ptr<const Document> doc,
-    std::shared_ptr<const Summary> summary, bool doc_changed) {
+    std::shared_ptr<const Summary> summary, bool doc_changed,
+    bool views_changed) {
   std::shared_ptr<const CatalogSnapshot> old = Current();
   // NOLINTNEXTLINE(modernize-make-shared): private ctor, friend-only access.
   auto snap = std::shared_ptr<CatalogSnapshot>(new CatalogSnapshot());
@@ -200,15 +229,56 @@ void ViewCatalog::PublishLocked(
   // A document change rebinds (even to null: the caller owns lifetimes
   // then); view-set-only mutations keep serving the same document.
   snap->doc_ = doc_changed ? std::move(doc) : old->doc_;
-  snap->summary_ = doc_changed ? std::move(summary) : old->summary_;
-  // A fresh cache per epoch is the invalidation: the successor can never
-  // serve a plan ranked against the old view set or document.
-  snap->rewrite_cache_ = std::make_shared<RewriteCache>();
-  snap->rewrite_cache_->CarryCountersFrom(*old->rewrite_cache_);
-  // Containment only depends on the summary: view-set mutations share the
-  // memo, document changes replace it.
-  snap->memo_ =
-      doc_changed ? std::make_shared<ContainmentMemo>() : old->memo_;
+  // Cached rewritings and view indexes are built from the view
+  // definitions: after a view-set change every class starts over, while
+  // epochs already published keep the cache and indexes they hold. The
+  // memos depend on the summary alone and stay.
+  if (views_changed) {
+    for (SummaryClass& c : classes_) {
+      c.cache = std::make_shared<RewriteCache>(cache_counters_);
+      c.indexes = std::make_shared<ViewIndexTable>();
+    }
+  }
+  const SummaryClass* cls = nullptr;
+  bool reused = false;
+  if (doc_changed && summary != nullptr) {
+    cls = InternLocked(std::move(summary), &reused);
+  } else if (!doc_changed && old->summary_ != nullptr) {
+    for (const SummaryClass& c : classes_) {
+      if (c.summary == old->summary_) cls = &c;
+    }
+  }
+  if (cls != nullptr) {
+    snap->summary_ = cls->summary;
+    snap->memo_ = cls->memo;
+    snap->rewrite_cache_ = cls->cache;
+    snap->indexes_ = cls->indexes;
+  } else {
+    // No class: a document change without a summary, or a view-set
+    // mutation of an epoch that has none (or whose class was evicted).
+    snap->summary_ = doc_changed ? nullptr : old->summary_;
+    snap->memo_ =
+        doc_changed ? std::make_shared<ContainmentMemo>() : old->memo_;
+    snap->rewrite_cache_ = std::make_shared<RewriteCache>(cache_counters_);
+    snap->indexes_ = std::make_shared<ViewIndexTable>();
+  }
+  if (reused) {
+    summary_class_reuses_.fetch_add(1, std::memory_order_relaxed);
+    metrics::SummaryClassReuses()->Add(1);
+  }
+  // An invalidation is a publish that leaves the served cache cold while
+  // the predecessor's was warm. Moving to a kept class is not one: its
+  // cache is as warm as that class left it.
+  if ((views_changed || !reused) && old->rewrite_cache_->size() > 0) {
+    metrics::InvalidationCause cause = metrics::InvalidationCause::kSummaryNew;
+    if (views_changed) {
+      cause = metrics::InvalidationCause::kViewSet;
+    } else if (cls == nullptr) {
+      cause = metrics::InvalidationCause::kNoSummary;
+    }
+    cache_counters_->invalidations.fetch_add(1);
+    metrics::RewriteCacheInvalidations(cause)->Add(1);
+  }
   snap->cost_model_.constants = cost_constants_;
   for (const auto& v : snap->views_) {
     snap->cost_model_.AddViewStats(v->def.name, v->stats);
@@ -233,7 +303,7 @@ void ViewCatalog::BindDocument(std::shared_ptr<const Document> doc,
                                std::shared_ptr<const Summary> summary) {
   MutexLock lock(&writer_mu_);
   PublishLocked(Current()->views(), std::move(doc), std::move(summary),
-                /*doc_changed=*/true);
+                /*doc_changed=*/true, /*views_changed=*/false);
 }
 
 Status ViewCatalog::Materialize(const ViewDef& def, const Document& doc) {
@@ -277,7 +347,8 @@ Status ViewCatalog::Add(ViewDef def, Table extent) {
     }
   }
   if (!replaced) next.push_back(std::move(stored));
-  PublishLocked(std::move(next), nullptr, nullptr, /*doc_changed=*/false);
+  PublishLocked(std::move(next), nullptr, nullptr, /*doc_changed=*/false,
+                /*views_changed=*/true);
   if (enable_delta_log_) {
     // A view-set mutation changes what WAL replay must resolve by name;
     // checkpoint immediately so no log record can ever reference a view
@@ -295,7 +366,8 @@ Status ViewCatalog::Drop(const std::string& name) {
                          [&](const auto& v) { return v->def.name == name; });
   if (it == next.end()) return Status::NotFound("no such view: " + name);
   next.erase(it);
-  PublishLocked(std::move(next), nullptr, nullptr, /*doc_changed=*/false);
+  PublishLocked(std::move(next), nullptr, nullptr, /*doc_changed=*/false,
+                /*views_changed=*/true);
   if (enable_delta_log_) {
     std::shared_ptr<const CatalogSnapshot> cur = Current();
     return PersistLocked(cur->views(), cur->epoch());
@@ -702,7 +774,7 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
     SVX_RETURN_IF_ERROR(PersistLocked(next, publish_epoch));
   }
   PublishLocked(std::move(next), std::move(new_doc), std::move(new_summary),
-                /*doc_changed=*/true);
+                /*doc_changed=*/true, /*views_changed=*/false);
   const int64_t total_us = static_cast<int64_t>(timer.ElapsedMicros());
   metrics::MaintenancePasses()->Add(1);
   metrics::MaintenanceViewsTouched()->Add(ms.views_touched);
@@ -959,8 +1031,9 @@ Status ViewCatalog::LoadImpl(const Document* doc,
   wal_depth_.store(static_cast<int64_t>(records->size()),
                    std::memory_order_relaxed);
   next_epoch_ = std::max(next_epoch_, max_epoch + 1);
+  // Load replaces the view set wholesale.
   PublishLocked(std::move(loaded), std::move(shared), std::move(summary),
-                /*doc_changed=*/true);
+                /*doc_changed=*/true, /*views_changed=*/true);
   return Status::OK();
 }
 
@@ -990,6 +1063,9 @@ std::string ViewCatalog::DebugMetrics() const {
   w.KV("extent_evictions", budget_->evictions());
   w.KV("extent_reloads", budget_->reloads());
   w.KV("memory_budget_bytes", budget_->limit_bytes());
+  w.KV("summary_classes", summary_classes_.load(std::memory_order_relaxed));
+  w.KV("summary_class_reuses",
+       summary_class_reuses_.load(std::memory_order_relaxed));
   w.Key("rewrite_cache");
   w.BeginObject();
   w.KV("entries", static_cast<uint64_t>(cache->size()));

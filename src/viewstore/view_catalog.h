@@ -35,6 +35,21 @@
 // save and on Load(). Version-1 ("view <name> <pattern>" over unsuffixed
 // files) and version-2 manifests still load.
 //
+// Summary classes: equivalence of a rewriting to a query is decided from the
+// structural summary and the view definitions alone (S-containment, paper
+// §2.3/§4.1), so the rewrite state — rewrite cache, containment memo and
+// shared ViewIndexes — belongs to a summary, not to an epoch. The catalog
+// keeps a small LRU of summary classes (kSummaryClasses); each pins one
+// interned summary and its state. A document-changing publish with a
+// summary looks its class up by StructuralHash, confirmed with
+// StructurallyEquals, and publishes the epoch with the class's interned
+// summary and state, opening a new class on a miss. Updates whose summary
+// cycles between a few shapes (an insert clears an edge's strong flag, the
+// matching delete sets it back) therefore keep serving warm state. A
+// publish with a document but no summary gets a fresh cache and memo; a
+// view-set mutation (Add / Materialize / Drop / Load) gives every class a
+// fresh cache and index table and keeps the memos.
+//
 // Delta-log durability (ViewCatalogOptions::enable_delta_log): instead of
 // rewriting changed extents on every maintenance pass, ApplyUpdate appends
 // one checksummed record of the pass's tuple-level deltas to the current
@@ -234,16 +249,15 @@ class ViewCatalog {
     return Current()->TotalCompressedBytes();
   }
 
-  /// The current epoch's rewrite cache (src/viewstore/rewrite_cache.h).
-  /// Every catalog mutation publishes a successor epoch with a fresh cache
-  /// — the successor serves no stale plans — carrying the cumulative
-  /// hit/miss/invalidation counters.
+  /// The current epoch's rewrite cache (src/viewstore/rewrite_cache.h):
+  /// its summary class's cache (see file comment). All the catalog's caches
+  /// report into one set of cumulative hit/miss/invalidation counters.
   RewriteCache* rewrite_cache() const { return Current()->rewrite_cache(); }
 
   /// The current epoch's pinned containment memo (pass as
-  /// RewriterOptions::memo). Replaced whenever the document — and hence
-  /// the summary — may change (ApplyUpdate / Load / BindDocument); shared
-  /// across view-set-only mutations, whose decisions it does not affect.
+  /// RewriterOptions::memo): its summary class's memo, kept across
+  /// view-set mutations, whose decisions it does not affect. A document
+  /// change without a summary gets a fresh memo.
   ContainmentMemo* containment_memo() const {
     return Current()->containment_memo();
   }
@@ -275,10 +289,10 @@ class ViewCatalog {
   CostModel BuildCostModel() const { return Current()->cost_model(); }
 
   /// One JSON object describing the current epoch for debug endpoints:
-  /// epoch id and age, view count and bytes, live epoch count, and the
-  /// epoch's rewrite-cache counters. Also refreshes the svx_epoch_current
-  /// and svx_epoch_age_us gauges so a registry render taken afterwards
-  /// reflects this catalog.
+  /// epoch id and age, view count and bytes, live epoch count, the kept
+  /// summary classes and their reuses, and the rewrite-cache counters.
+  /// Also refreshes the svx_epoch_current and svx_epoch_age_us gauges so a
+  /// registry render taken afterwards reflects this catalog.
   std::string DebugMetrics() const;
 
   /// WAL records appended since the last checkpoint — the replay depth a
@@ -300,15 +314,38 @@ class ViewCatalog {
   /// holds that epoch (i.e. until the next mutation).
   std::shared_ptr<const CatalogSnapshot> Current() const { return Snapshot(); }
 
+  /// How many summary classes the catalog keeps (least recently used
+  /// evicted first). Each class's memo and cache are bounded by their
+  /// max_entries, so the kept rewrite state is at most this many times
+  /// one epoch's.
+  static constexpr size_t kSummaryClasses = 8;
+
+  /// The rewrite state shared by the epochs of one summary class.
+  struct SummaryClass {
+    uint64_t hash = 0;  // summary->StructuralHash()
+    std::shared_ptr<const Summary> summary;  // interned; pins the indexes
+    std::shared_ptr<ContainmentMemo> memo;
+    std::shared_ptr<RewriteCache> cache;
+    std::shared_ptr<ViewIndexTable> indexes;
+  };
+
   /// Builds and publishes the successor epoch (writer mutex held).
-  /// `doc_changed` replaces the containment memo and rebinds the epoch's
-  /// document/summary to the given values (possibly null — the caller
-  /// manages lifetimes then); otherwise the current bindings carry over
-  /// and doc/summary must be null.
+  /// `doc_changed` rebinds the epoch's document to `doc` (possibly null —
+  /// the caller manages lifetimes then) and its rewrite state to the
+  /// summary class of `summary` (fresh state when null); otherwise the
+  /// current bindings carry over and doc/summary must be null.
+  /// `views_changed` (the view definitions may differ) gives every summary
+  /// class a fresh rewrite cache and index table.
   void PublishLocked(std::vector<std::shared_ptr<const StoredView>> views,
                      std::shared_ptr<const Document> doc,
-                     std::shared_ptr<const Summary> summary, bool doc_changed)
-      SVX_REQUIRES(writer_mu_);
+                     std::shared_ptr<const Summary> summary, bool doc_changed,
+                     bool views_changed) SVX_REQUIRES(writer_mu_);
+
+  /// The class of `summary`, moved to the LRU front; opens one (evicting
+  /// the least recently used beyond kSummaryClasses) when none matches.
+  /// Sets *reused to whether a kept class matched.
+  SummaryClass* InternLocked(std::shared_ptr<const Summary> summary,
+                             bool* reused) SVX_REQUIRES(writer_mu_);
 
   /// Writes every not-yet-persisted view under a fresh generation, flips
   /// the manifest recording `epoch` as the persisted state (and the WAL
@@ -348,6 +385,13 @@ class ViewCatalog {
   mutable SharedMutex snapshot_mu_;
   std::shared_ptr<const CatalogSnapshot> snapshot_ SVX_GUARDED_BY(snapshot_mu_);
   uint64_t next_epoch_ SVX_GUARDED_BY(writer_mu_) = 1;
+  /// Kept summary classes, most recently used first.
+  std::vector<SummaryClass> classes_ SVX_GUARDED_BY(writer_mu_);
+  /// Shared by every rewrite cache this catalog creates. Set in the ctor.
+  std::shared_ptr<RewriteCache::Counters> cache_counters_;
+  /// DebugMetrics mirrors of classes_.size() and of the reuse count.
+  std::atomic<int64_t> summary_classes_{0};
+  std::atomic<int64_t> summary_class_reuses_{0};
   mutable uint64_t next_generation_ SVX_GUARDED_BY(writer_mu_) = 1;
   /// True once next_generation_ is known to exceed every generation in
   /// dir_ (set by a v2+ Load or by PersistLocked's directory scan) — the

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "src/algebra/executor.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/rewriting/rewriter.h"
 #include "src/summary/summary_builder.h"
+#include "src/util/strings.h"
 #include "src/viewstore/view_catalog.h"
 #include "src/xml/builder.h"
 #include "src/xml/update.h"
@@ -197,6 +200,107 @@ TEST(CatalogSnapshot, SharedViewIndexMatchesPerRewriterIndex) {
       EXPECT_EQ((*a)[i].compact, (*b)[i].compact) << q;
     }
   }
+}
+
+/// Inserts `subtree` under the root of *doc and publishes the epoch with
+/// its summary; returns the inserted region.
+OrdPath InsertAndPublish(ViewCatalog* catalog, std::shared_ptr<Document>* doc,
+                         std::string_view subtree) {
+  Result<UpdateResult> up = InsertSubtree(**doc, OrdPath::Root(), *Doc(subtree));
+  EXPECT_TRUE(up.ok()) << up.status().ToString();
+  std::shared_ptr<Document> next(std::move(up->doc));
+  std::shared_ptr<Summary> summary(SummaryBuilder::Build(next.get()));
+  EXPECT_TRUE(catalog->ApplyUpdate(up->delta, next, summary).ok());
+  *doc = std::move(next);
+  return up->delta.region;
+}
+
+void DeleteAndPublish(ViewCatalog* catalog, std::shared_ptr<Document>* doc,
+                      const OrdPath& target) {
+  Result<UpdateResult> up = DeleteSubtree(**doc, target);
+  EXPECT_TRUE(up.ok()) << up.status().ToString();
+  std::shared_ptr<Document> next(std::move(up->doc));
+  std::shared_ptr<Summary> summary(SummaryBuilder::Build(next.get()));
+  EXPECT_TRUE(catalog->ApplyUpdate(up->delta, next, summary).ok());
+  *doc = std::move(next);
+}
+
+TEST(CatalogSnapshot, ViewIndexIsSharedAcrossEpochsOfOneSummaryClass) {
+  std::shared_ptr<Document> d = Doc("a(b=1 b=2)");
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"VB", MustParsePattern("a(/b{id,v})")}, *d).ok());
+  catalog.BindDocument(d, SummaryBuilder::Build(d.get()));
+  std::shared_ptr<const CatalogSnapshot> s0 = catalog.Snapshot();
+  const ExpansionOptions e;
+  std::shared_ptr<const ViewIndex> index = s0->ViewIndexFor(*s0->summary(), e);
+
+  // An update that keeps the summary reuses the class's index...
+  InsertAndPublish(&catalog, &d, "b=3");
+  std::shared_ptr<const CatalogSnapshot> s1 = catalog.Snapshot();
+  EXPECT_EQ(s1->summary(), s0->summary());
+  EXPECT_EQ(s1->ViewIndexFor(*s1->summary(), e).get(), index.get());
+
+  // ...a view-set change starts a new one over the new views, while the
+  // epochs already published keep theirs.
+  ASSERT_TRUE(
+      catalog.Materialize({"VA", MustParsePattern("a{id}")}, *d).ok());
+  std::shared_ptr<const CatalogSnapshot> s2 = catalog.Snapshot();
+  std::shared_ptr<const ViewIndex> index2 = s2->ViewIndexFor(*s2->summary(), e);
+  EXPECT_NE(index2.get(), index.get());
+  EXPECT_EQ(index2->size(), 2);
+  EXPECT_EQ(s1->ViewIndexFor(*s1->summary(), e).get(), index.get());
+  EXPECT_EQ(s2->containment_memo(), s1->containment_memo());
+}
+
+TEST(CatalogSnapshot, SummaryClassesAreBoundedLeastRecentlyUsedFirst) {
+  std::shared_ptr<Document> d = Doc("a(b=1)");
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"VB", MustParsePattern("a(/b{id,v})")}, *d).ok());
+  catalog.BindDocument(d, SummaryBuilder::Build(d.get()));
+  std::shared_ptr<const CatalogSnapshot> s0 = catalog.Snapshot();
+
+  // Eight more summaries, each adding a path: the first class falls out.
+  std::vector<OrdPath> added;
+  for (int i = 0; i < 8; ++i) {
+    added.push_back(InsertAndPublish(&catalog, &d, StrFormat("c%d=1", i)));
+  }
+  EXPECT_NE(catalog.DebugMetrics().find("\"summary_classes\": 8"),
+            std::string::npos)
+      << catalog.DebugMetrics();
+  // Walking back reuses the kept classes, but the evicted first summary
+  // gets a new class: an equal summary, a fresh memo.
+  std::shared_ptr<const CatalogSnapshot> s7 = catalog.Snapshot();
+  DeleteAndPublish(&catalog, &d, added.back());
+  added.pop_back();
+  added.push_back(InsertAndPublish(&catalog, &d, "c7=1"));
+  EXPECT_EQ(catalog.Snapshot()->containment_memo(), s7->containment_memo());
+  while (!added.empty()) {
+    DeleteAndPublish(&catalog, &d, added.back());
+    added.pop_back();
+  }
+  std::shared_ptr<const CatalogSnapshot> back = catalog.Snapshot();
+  EXPECT_TRUE(back->summary()->StructurallyEquals(*s0->summary()));
+  EXPECT_NE(back->containment_memo(), s0->containment_memo());
+  EXPECT_NE(catalog.DebugMetrics().find("\"summary_classes\": 8"),
+            std::string::npos);
+}
+
+TEST(CatalogSnapshot, DocumentChangeWithoutSummaryGetsFreshState) {
+  std::shared_ptr<Document> d = Doc("a(b=1)");
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"VB", MustParsePattern("a(/b{id,v})")}, *d).ok());
+  catalog.BindDocument(d, SummaryBuilder::Build(d.get()));
+  std::shared_ptr<const CatalogSnapshot> bound = catalog.Snapshot();
+  Result<UpdateResult> up = InsertSubtree(*d, OrdPath::Root(), *Doc("b=2"));
+  ASSERT_TRUE(up.ok());
+  ASSERT_TRUE(catalog.ApplyUpdate(up->delta).ok());
+  std::shared_ptr<const CatalogSnapshot> unbound = catalog.Snapshot();
+  EXPECT_EQ(unbound->summary(), nullptr);
+  EXPECT_NE(unbound->containment_memo(), bound->containment_memo());
+  EXPECT_NE(unbound->rewrite_cache(), bound->rewrite_cache());
 }
 
 }  // namespace

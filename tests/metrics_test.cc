@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -170,6 +171,34 @@ TEST(MetricRegistryTest, StandardCatalogCoversAllDomains) {
   EXPECT_NE(text.find("svx_executor_runs_total"), std::string::npos);
   EXPECT_NE(text.find("svx_persist_bytes_written_total"), std::string::npos);
   EXPECT_NE(text.find("svx_rewrite_latency_us_bucket"), std::string::npos);
+}
+
+/// The exposition block of one metric family in `text`: from its HELP line
+/// up to the next family's HELP line.
+std::string FamilyBlock(const std::string& text, const std::string& family) {
+  size_t begin = text.find("# HELP " + family + " ");
+  if (begin == std::string::npos) return "";
+  size_t end = text.find("# HELP ", begin + 1);
+  return text.substr(begin, end == std::string::npos ? end : end - begin);
+}
+
+TEST(MetricRegistryTest, GoldenSummaryClassFamilies) {
+  // Nothing in this binary publishes epochs, so the series are zero.
+  metrics::RegisterStandardMetrics();
+  std::string text = MetricRegistry::Global().RenderPrometheusText();
+  EXPECT_EQ(
+      FamilyBlock(text, "svx_rewrite_cache_invalidations_total"),
+      "# HELP svx_rewrite_cache_invalidations_total Epoch publishes that "
+      "left the served rewrite cache cold, by cause\n"
+      "# TYPE svx_rewrite_cache_invalidations_total counter\n"
+      "svx_rewrite_cache_invalidations_total{cause=\"no_summary\"} 0\n"
+      "svx_rewrite_cache_invalidations_total{cause=\"summary_new\"} 0\n"
+      "svx_rewrite_cache_invalidations_total{cause=\"view_set\"} 0\n");
+  EXPECT_EQ(FamilyBlock(text, "svx_summary_class_reuses_total"),
+            "# HELP svx_summary_class_reuses_total Document changes whose "
+            "summary matched a kept summary class\n"
+            "# TYPE svx_summary_class_reuses_total counter\n"
+            "svx_summary_class_reuses_total 0\n");
 }
 
 }  // namespace
