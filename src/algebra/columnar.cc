@@ -321,15 +321,11 @@ const OrdPath& CellOrdPath(const Value& v) {
   return ref.doc->ord_path(ref.node);
 }
 
-void AppendDeltaId(const OrdPath& id, std::vector<int32_t>* prev,
-                   std::string* out) {
-  const std::vector<int32_t>& comps = id.components();
+void AppendDeltaComps(const std::vector<int32_t>& comps,
+                      std::vector<int32_t>* prev, std::string* out) {
   size_t prefix = 0;
   size_t limit = std::min(prev->size(), comps.size());
-  while (prefix < limit &&
-         (*prev)[prefix] == comps[prefix]) {
-    ++prefix;
-  }
+  while (prefix < limit && (*prev)[prefix] == comps[prefix]) ++prefix;
   PutVarint(static_cast<uint64_t>(prefix) + 1, out);
   PutVarint(static_cast<uint64_t>(comps.size() - prefix), out);
   for (size_t i = prefix; i < comps.size(); ++i) {
@@ -338,29 +334,67 @@ void AppendDeltaId(const OrdPath& id, std::vector<int32_t>* prev,
   *prev = comps;
 }
 
-ColumnChunkPtr EncodeColumn(const Table& table, int32_t c,
-                            const ColumnSpec& spec) {
-  auto chunk = std::make_shared<ColumnChunk>();
-  chunk->num_rows = table.NumRows();
+/// Value-type bits of a column's non-null cells. The encoding of a column
+/// is a function of their union alone (EncodingFor), which is what lets a
+/// fold tell whether the folded column keeps its encoding.
+enum TypeBit : uint8_t {
+  kTypeString = 1,
+  kTypeId = 2,
+  kTypeContent = 4,
+  kTypeNested = 8,  // a table of the column's nested schema
+  kTypeOther = 16,  // any other table
+};
 
-  bool all_string = true, all_id = true, all_content = true, all_nested = true;
-  for (const Tuple& row : table.rows()) {
-    const Value& v = row[static_cast<size_t>(c)];
-    if (v.IsNull()) continue;
-    if (!v.IsString()) all_string = false;
-    if (!v.IsId()) all_id = false;
-    if (!v.IsContent()) all_content = false;
-    if (!v.IsTable() || spec.nested == nullptr ||
-        !(v.AsTable().schema() == *spec.nested)) {
-      all_nested = false;
-    }
+uint8_t CellTypeBit(const Value& v, const ColumnSpec& spec) {
+  if (v.IsNull()) return 0;
+  if (v.IsString()) return kTypeString;
+  if (v.IsId()) return kTypeId;
+  if (v.IsContent()) return kTypeContent;
+  return spec.nested != nullptr && v.AsTable().schema() == *spec.nested
+             ? kTypeNested
+             : kTypeOther;
+}
+
+ColumnChunk::Encoding EncodingFor(uint8_t types) {
+  if ((types & ~kTypeString) == 0) return ColumnChunk::kDict;
+  if ((types & ~kTypeId) == 0) return ColumnChunk::kIds;
+  if ((types & ~kTypeContent) == 0) return ColumnChunk::kContent;
+  if ((types & ~kTypeNested) == 0) return ColumnChunk::kNested;
+  return ColumnChunk::kRaw;
+}
+
+/// The one type a non-raw chunk's non-null cells have.
+uint8_t EncodingTypeBit(ColumnChunk::Encoding encoding) {
+  switch (encoding) {
+    case ColumnChunk::kDict:
+      return kTypeString;
+    case ColumnChunk::kIds:
+      return kTypeId;
+    case ColumnChunk::kContent:
+      return kTypeContent;
+    case ColumnChunk::kNested:
+      return kTypeNested;
+    case ColumnChunk::kRaw:
+      break;
   }
+  return 0;
+}
 
-  if (all_string) {
-    chunk->encoding = ColumnChunk::kDict;
+/// Encodes the `n` cells `cell(0..n-1)` of one column; the encoding follows
+/// the non-null cells' types (EncodingFor).
+template <typename CellAt>
+ColumnChunkPtr EncodeCells(int64_t n, const CellAt& cell,
+                           const ColumnSpec& spec) {
+  auto chunk = std::make_shared<ColumnChunk>();
+  chunk->num_rows = n;
+  uint8_t types = 0;
+  for (int64_t i = 0; i < n; ++i) types |= CellTypeBit(cell(i), spec);
+  chunk->encoding = EncodingFor(types);
+
+  if (chunk->encoding == ColumnChunk::kDict) {
     std::vector<std::string> values;
-    for (const Tuple& row : table.rows()) {
-      const Value& v = row[static_cast<size_t>(c)];
+    for (int64_t i = 0; i < n; ++i) {
+      const Value& v = cell(i);
       if (!v.IsNull()) values.push_back(v.AsString());
     }
     std::sort(values.begin(), values.end());
@@ -371,37 +405,37 @@ ColumnChunkPtr EncodeColumn(const Table& table, int32_t c,
       index.emplace(values[i], static_cast<uint32_t>(i));
     }
     chunk->dict = std::move(values);
-    chunk->codes.reserve(static_cast<size_t>(table.NumRows()));
-    for (const Tuple& row : table.rows()) {
-      const Value& v = row[static_cast<size_t>(c)];
+    chunk->codes.reserve(static_cast<size_t>(n));
+    for (int64_t i = 0; i < n; ++i) {
+      const Value& v = cell(i);
       chunk->codes.push_back(v.IsNull() ? ColumnChunk::kNullCode
                                         : index.at(v.AsString()));
     }
     return chunk;
   }
 
-  if (all_id || all_content) {
-    chunk->encoding = all_id ? ColumnChunk::kIds : ColumnChunk::kContent;
+  if (chunk->encoding == ColumnChunk::kIds ||
+      chunk->encoding == ColumnChunk::kContent) {
     std::vector<int32_t> prev;
-    for (const Tuple& row : table.rows()) {
-      const Value& v = row[static_cast<size_t>(c)];
+    for (int64_t i = 0; i < n; ++i) {
+      const Value& v = cell(i);
       if (v.IsNull()) {
         PutVarint(0, &chunk->id_bytes);
       } else {
-        AppendDeltaId(CellOrdPath(v), &prev, &chunk->id_bytes);
+        AppendDeltaComps(CellOrdPath(v).components(), &prev,
+                         &chunk->id_bytes);
       }
     }
     return chunk;
   }
 
-  if (all_nested) {
-    chunk->encoding = ColumnChunk::kNested;
+  if (chunk->encoding == ColumnChunk::kNested) {
     Table concat(*spec.nested);
-    chunk->offsets.reserve(static_cast<size_t>(table.NumRows()) + 1);
-    chunk->nulls.reserve(static_cast<size_t>(table.NumRows()));
+    chunk->offsets.reserve(static_cast<size_t>(n) + 1);
+    chunk->nulls.reserve(static_cast<size_t>(n));
     chunk->offsets.push_back(0);
-    for (const Tuple& row : table.rows()) {
-      const Value& v = row[static_cast<size_t>(c)];
+    for (int64_t i = 0; i < n; ++i) {
+      const Value& v = cell(i);
       if (v.IsNull()) {
         chunk->nulls.push_back(1);
       } else {
@@ -417,11 +451,18 @@ ColumnChunkPtr EncodeColumn(const Table& table, int32_t c,
     return chunk;
   }
 
-  chunk->encoding = ColumnChunk::kRaw;
-  for (const Tuple& row : table.rows()) {
-    PutRawCell(row[static_cast<size_t>(c)], &chunk->raw_cells);
-  }
+  for (int64_t i = 0; i < n; ++i) PutRawCell(cell(i), &chunk->raw_cells);
   return chunk;
+}
+
+ColumnChunkPtr EncodeColumn(const Table& table, int32_t c,
+                            const ColumnSpec& spec) {
+  return EncodeCells(
+      table.NumRows(),
+      [&](int64_t i) -> const Value& {
+        return table.row(i)[static_cast<size_t>(c)];
+      },
+      spec);
 }
 
 bool ChunkHasContent(const ColumnChunk& chunk, const ColumnSpec& spec) {
@@ -452,36 +493,57 @@ bool ChunkHasContent(const ColumnChunk& chunk, const ColumnSpec& spec) {
 // Per-column decoding.
 // ---------------------------------------------------------------------------
 
-Status DecodeIdColumn(const ColumnChunk& chunk, const ColumnSpec& spec,
-                      const Document* doc, std::vector<Value>* out) {
+/// Sequential reader over a delta-coded ORDPATH chunk. It keeps the last
+/// non-null row's components: the base the next row's shared prefix refers
+/// to, and the decoded id of the row just read.
+class IdRowReader {
+ public:
+  explicit IdRowReader(std::string_view bytes) : r_(bytes, 0) {}
+
+  /// Reads one row; `*null` tells whether it was ⊥ (last() is unchanged
+  /// then). A non-OK status means corrupt bytes.
+  Status Next(bool* null) {
+    uint64_t head = 0;
+    if (!r_.GetVarint(&head)) return Truncated(r_);
+    *null = head == 0;
+    if (*null) return Status::OK();
+    uint64_t prefix = head - 1;
+    uint64_t suffix = 0;
+    if (!r_.GetVarint(&suffix)) return Truncated(r_);
+    if (prefix > last_.size() || prefix + suffix > 1u << 20) {
+      return Status::ParseError("bad ORDPATH delta in column chunk");
+    }
+    last_.resize(static_cast<size_t>(prefix));
+    for (uint64_t k = 0; k < suffix; ++k) {
+      uint64_t comp = 0;
+      if (!r_.GetVarint(&comp)) return Truncated(r_);
+      last_.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
+    }
+    return Status::OK();
+  }
+
+  const std::vector<int32_t>& last() const { return last_; }
+  size_t pos() const { return r_.pos(); }
+  size_t Remaining() const { return r_.Remaining(); }
+
+ private:
+  ByteReader r_;
+  std::vector<int32_t> last_;
+};
+
+Status DecodeIdColumn(const ColumnChunk& chunk, const Document* doc,
+                      std::vector<Value>* out) {
   const bool content = chunk.encoding == ColumnChunk::kContent;
-  std::vector<int32_t> prev;
-  ByteReader r(chunk.id_bytes, 0);
+  IdRowReader r(chunk.id_bytes);
   out->reserve(static_cast<size_t>(chunk.num_rows));
   for (int64_t i = 0; i < chunk.num_rows; ++i) {
-    uint64_t head = 0;
-    if (!r.GetVarint(&head)) return Truncated(r);
-    if (head == 0) {
+    bool null = false;
+    SVX_RETURN_IF_ERROR(r.Next(&null));
+    if (null) {
       out->push_back(Value());
       continue;
     }
-    uint64_t prefix = head - 1;
-    uint64_t suffix = 0;
-    if (!r.GetVarint(&suffix)) return Truncated(r);
-    if (prefix > prev.size() || prefix + suffix > 1u << 20) {
-      return Status::ParseError(
-          StrFormat("bad ORDPATH delta in column %s", spec.name.c_str()));
-    }
-    std::vector<int32_t> comps(prev.begin(),
-                               prev.begin() + static_cast<ptrdiff_t>(prefix));
-    comps.reserve(static_cast<size_t>(prefix + suffix));
-    for (uint64_t k = 0; k < suffix; ++k) {
-      uint64_t comp = 0;
-      if (!r.GetVarint(&comp)) return Truncated(r);
-      comps.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
-    }
-    prev = comps;
-    OrdPath id(std::move(comps));
+    OrdPath id(r.last());
     if (!content) {
       out->push_back(Value(std::move(id)));
       continue;
@@ -526,7 +588,7 @@ Status DecodeColumnValues(const ColumnChunk& chunk, const ColumnSpec& spec,
     }
     case ColumnChunk::kIds:
     case ColumnChunk::kContent:
-      return DecodeIdColumn(chunk, spec, doc, out);
+      return DecodeIdColumn(chunk, doc, out);
     case ColumnChunk::kNested: {
       if (chunk.child == nullptr || spec.nested == nullptr ||
           chunk.offsets.size() != static_cast<size_t>(chunk.num_rows) + 1 ||
@@ -567,6 +629,466 @@ Status DecodeColumnValues(const ColumnChunk& chunk, const ColumnSpec& spec,
       }
       return Status::OK();
     }
+  }
+  return Status::ParseError("bad column chunk encoding");
+}
+
+// ---------------------------------------------------------------------------
+// Folding: splicing a row delta into existing chunks.
+// ---------------------------------------------------------------------------
+
+/// The folded extent's row layout: alternating runs of surviving prev rows
+/// and inserted rows, in output order.
+struct SplicePlan {
+  struct Run {
+    bool inserted = false;
+    int64_t lo = 0;  // prev rows [lo, hi), or inserts [lo, hi)
+    int64_t hi = 0;
+  };
+  std::vector<Run> runs;
+  int64_t out_rows = 0;
+};
+
+Result<SplicePlan> PlanSplice(int64_t n, const std::vector<int64_t>& deleted,
+                              const std::vector<FoldInsert>& inserts) {
+  for (size_t i = 0; i < deleted.size(); ++i) {
+    if (deleted[i] < 0 || deleted[i] >= n ||
+        (i > 0 && deleted[i] <= deleted[i - 1])) {
+      return Status::InvalidArgument(
+          "fold: deleted rows must be strictly ascending row indices");
+    }
+  }
+  SplicePlan plan;
+  plan.out_rows = n - static_cast<int64_t>(deleted.size()) +
+                  static_cast<int64_t>(inserts.size());
+  for (size_t i = 0; i < inserts.size(); ++i) {
+    if (inserts[i].row == nullptr || inserts[i].position < 0 ||
+        inserts[i].position >= plan.out_rows ||
+        (i > 0 && inserts[i].position <= inserts[i - 1].position)) {
+      return Status::InvalidArgument(
+          "fold: insert positions must be strictly ascending output rows");
+    }
+  }
+  int64_t r = 0;    // next prev row
+  size_t d = 0;     // next deleted row
+  size_t k = 0;     // next insert
+  int64_t out = 0;  // next output row
+  while (out < plan.out_rows) {
+    if (k < inserts.size() && inserts[k].position == out) {
+      const int64_t lo = static_cast<int64_t>(k);
+      while (k < inserts.size() && inserts[k].position == out) {
+        ++k;
+        ++out;
+      }
+      plan.runs.push_back({true, lo, static_cast<int64_t>(k)});
+      continue;
+    }
+    while (d < deleted.size() && deleted[d] == r) {
+      ++d;
+      ++r;
+    }
+    int64_t len = n - r;
+    if (d < deleted.size()) len = std::min(len, deleted[d] - r);
+    if (k < inserts.size()) len = std::min(len, inserts[k].position - out);
+    SVX_CHECK(len > 0);  // the row counts above add up
+    plan.runs.push_back({false, r, r + len});
+    r += len;
+    out += len;
+  }
+  return plan;
+}
+
+/// Byte offset of every raw cell plus the end offset (num_rows + 1 entries).
+Result<std::vector<size_t>> RawRowStarts(const ColumnChunk& chunk,
+                                         const ColumnSpec& spec) {
+  std::vector<size_t> starts;
+  starts.reserve(static_cast<size_t>(chunk.num_rows) + 1);
+  RawCellReader r(chunk.raw_cells);
+  for (int64_t i = 0; i < chunk.num_rows; ++i) {
+    starts.push_back(r.pos());
+    SVX_RETURN_IF_ERROR(WalkRawContentIds(
+        &r, spec, 0, [](const OrdPath&) { return Status::OK(); }));
+  }
+  starts.push_back(r.pos());
+  return starts;
+}
+
+uint8_t RawTagTypeBit(uint8_t tag) {
+  switch (tag) {
+    case kCellString:
+      return kTypeString;
+    case kCellId:
+      return kTypeId;
+    case kCellContent:
+      return kTypeContent;
+    case kCellNested:
+      return kTypeNested;  // raw decode gives nested cells the column schema
+    default:
+      return 0;
+  }
+}
+
+/// Type bits of the non-null cells among prev's surviving rows. A non-raw
+/// chunk stops at the first non-null survivor; `raw_starts` is set for raw
+/// chunks.
+Result<uint8_t> SurvivorTypes(const ColumnChunk& chunk,
+                              const SplicePlan& plan,
+                              const std::vector<size_t>& raw_starts) {
+  const uint8_t own = EncodingTypeBit(chunk.encoding);
+  switch (chunk.encoding) {
+    case ColumnChunk::kDict:
+      for (const SplicePlan::Run& run : plan.runs) {
+        if (run.inserted) continue;
+        for (int64_t i = run.lo; i < run.hi; ++i) {
+          if (chunk.codes[static_cast<size_t>(i)] != ColumnChunk::kNullCode) {
+            return own;
+          }
+        }
+      }
+      return 0;
+    case ColumnChunk::kIds:
+    case ColumnChunk::kContent: {
+      IdRowReader r(chunk.id_bytes);
+      int64_t row = 0;
+      for (const SplicePlan::Run& run : plan.runs) {
+        if (run.inserted) continue;
+        for (; row < run.hi; ++row) {
+          bool null = false;
+          SVX_RETURN_IF_ERROR(r.Next(&null));
+          if (!null && row >= run.lo) return own;
+        }
+      }
+      return 0;
+    }
+    case ColumnChunk::kNested:
+      for (const SplicePlan::Run& run : plan.runs) {
+        if (run.inserted) continue;
+        for (int64_t i = run.lo; i < run.hi; ++i) {
+          if (chunk.nulls[static_cast<size_t>(i)] == 0) return own;
+        }
+      }
+      return 0;
+    case ColumnChunk::kRaw: {
+      uint8_t types = 0;
+      for (const SplicePlan::Run& run : plan.runs) {
+        if (run.inserted) continue;
+        for (int64_t i = run.lo; i < run.hi; ++i) {
+          types |= RawTagTypeBit(static_cast<uint8_t>(
+              chunk.raw_cells[raw_starts[static_cast<size_t>(i)]]));
+        }
+      }
+      return types;
+    }
+  }
+  return Status::ParseError("bad column chunk encoding");
+}
+
+const Value& InsertCell(const std::vector<FoldInsert>& inserts, int64_t k,
+                        int32_t c) {
+  return (*inserts[static_cast<size_t>(k)].row)[static_cast<size_t>(c)];
+}
+
+/// Dictionary fold: surviving codes are copied, remapped only when the
+/// dictionary gains an inserted string or loses its last use of one.
+ColumnChunkPtr FoldDict(const ColumnChunk& prev, const SplicePlan& plan,
+                        const std::vector<FoldInsert>& inserts, int32_t c) {
+  const std::vector<std::string>& dict = prev.dict;
+  auto less = [](std::string_view a, std::string_view b) { return a < b; };
+  std::vector<uint8_t> used(dict.size(), 0);
+  for (const SplicePlan::Run& run : plan.runs) {
+    if (run.inserted) continue;
+    for (int64_t i = run.lo; i < run.hi; ++i) {
+      uint32_t code = prev.codes[static_cast<size_t>(i)];
+      if (code != ColumnChunk::kNullCode) used[code] = 1;
+    }
+  }
+  std::vector<std::string_view> added;
+  for (size_t k = 0; k < inserts.size(); ++k) {
+    const Value& v = InsertCell(inserts, static_cast<int64_t>(k), c);
+    if (v.IsNull()) continue;
+    std::string_view s = v.AsString();
+    auto it = std::lower_bound(dict.begin(), dict.end(), s, less);
+    if (it != dict.end() && *it == s) {
+      used[static_cast<size_t>(it - dict.begin())] = 1;
+    } else {
+      added.push_back(s);
+    }
+  }
+  std::sort(added.begin(), added.end());
+  added.erase(std::unique(added.begin(), added.end()), added.end());
+
+  auto chunk = std::make_shared<ColumnChunk>();
+  chunk->encoding = ColumnChunk::kDict;
+  chunk->num_rows = plan.out_rows;
+  bool identity = added.empty();
+  std::vector<uint32_t> remap(dict.size(), ColumnChunk::kNullCode);
+  chunk->dict.reserve(dict.size() + added.size());
+  size_t a = 0;
+  for (size_t i = 0; i < dict.size(); ++i) {
+    if (used[i] == 0) {
+      identity = false;
+      continue;
+    }
+    while (a < added.size() && added[a] < std::string_view(dict[i])) {
+      chunk->dict.emplace_back(added[a++]);
+    }
+    remap[i] = static_cast<uint32_t>(chunk->dict.size());
+    chunk->dict.push_back(dict[i]);
+  }
+  while (a < added.size()) chunk->dict.emplace_back(added[a++]);
+
+  const std::vector<std::string>& merged = chunk->dict;
+  chunk->codes.reserve(static_cast<size_t>(plan.out_rows));
+  for (const SplicePlan::Run& run : plan.runs) {
+    if (run.inserted) {
+      for (int64_t k = run.lo; k < run.hi; ++k) {
+        const Value& v = InsertCell(inserts, k, c);
+        if (v.IsNull()) {
+          chunk->codes.push_back(ColumnChunk::kNullCode);
+          continue;
+        }
+        auto it = std::lower_bound(merged.begin(), merged.end(),
+                                   std::string_view(v.AsString()), less);
+        chunk->codes.push_back(static_cast<uint32_t>(it - merged.begin()));
+      }
+    } else if (identity) {
+      chunk->codes.insert(chunk->codes.end(), prev.codes.begin() + run.lo,
+                          prev.codes.begin() + run.hi);
+    } else {
+      for (int64_t i = run.lo; i < run.hi; ++i) {
+        uint32_t code = prev.codes[static_cast<size_t>(i)];
+        chunk->codes.push_back(code == ColumnChunk::kNullCode ? code
+                                                              : remap[code]);
+      }
+    }
+  }
+  return chunk;
+}
+
+/// ORDPATH fold: a surviving run's bytes are copied verbatim once the
+/// output's last non-null id equals the one the run's bytes were coded
+/// against; until then (only up to the run's first non-null row) rows are
+/// re-encoded. The trailing run is copied without being parsed.
+Result<ColumnChunkPtr> FoldIds(const ColumnChunk& prev,
+                               const SplicePlan& plan,
+                               const std::vector<FoldInsert>& inserts,
+                               int32_t c) {
+  auto chunk = std::make_shared<ColumnChunk>();
+  chunk->encoding = prev.encoding;
+  chunk->num_rows = plan.out_rows;
+  std::string& out = chunk->id_bytes;
+  out.reserve(prev.id_bytes.size() + 16 * inserts.size());
+  std::vector<int32_t> out_last;  // the output's last non-null id
+  IdRowReader r(prev.id_bytes);
+  int64_t row = 0;  // next prev row `r` reads
+  auto skip_to = [&](int64_t target) -> Status {
+    for (; row < target; ++row) {
+      bool null = false;
+      SVX_RETURN_IF_ERROR(r.Next(&null));
+    }
+    return Status::OK();
+  };
+  for (size_t ri = 0; ri < plan.runs.size(); ++ri) {
+    const SplicePlan::Run& run = plan.runs[ri];
+    if (run.inserted) {
+      for (int64_t k = run.lo; k < run.hi; ++k) {
+        const Value& v = InsertCell(inserts, k, c);
+        if (v.IsNull()) {
+          PutVarint(0, &out);
+        } else {
+          AppendDeltaComps(CellOrdPath(v).components(), &out_last, &out);
+        }
+      }
+      continue;
+    }
+    SVX_RETURN_IF_ERROR(skip_to(run.lo));
+    if (out_last != r.last()) {
+      // The run's first non-null row was coded against a predecessor the
+      // fold removed or displaced: re-encode up to and including it.
+      while (row < run.hi) {
+        bool null = false;
+        SVX_RETURN_IF_ERROR(r.Next(&null));
+        ++row;
+        if (null) {
+          PutVarint(0, &out);
+          continue;
+        }
+        AppendDeltaComps(r.last(), &out_last, &out);
+        break;
+      }
+      if (row == run.hi) continue;
+    }
+    const size_t from = r.pos();
+    if (ri + 1 == plan.runs.size() && run.hi == prev.num_rows) {
+      // Nothing follows: copy the remaining bytes without parsing them.
+      out.append(prev.id_bytes, from, std::string::npos);
+      row = run.hi;
+      continue;
+    }
+    SVX_RETURN_IF_ERROR(skip_to(run.hi));
+    out.append(prev.id_bytes, from, r.pos() - from);
+    out_last = r.last();
+  }
+  return ColumnChunkPtr(std::move(chunk));
+}
+
+/// Nested fold: offsets and ⊥ flags follow the row layout; the child
+/// extent drops the deleted rows' groups and splices the inserted groups
+/// in at their new offsets (shared untouched when neither exists).
+Result<ColumnChunkPtr> FoldNested(const ColumnChunk& prev,
+                                  const SplicePlan& plan,
+                                  const std::vector<int64_t>& deleted,
+                                  const std::vector<FoldInsert>& inserts,
+                                  int32_t c, const Document* doc) {
+  auto chunk = std::make_shared<ColumnChunk>();
+  chunk->encoding = ColumnChunk::kNested;
+  chunk->num_rows = plan.out_rows;
+  chunk->offsets.reserve(static_cast<size_t>(plan.out_rows) + 1);
+  chunk->nulls.reserve(static_cast<size_t>(plan.out_rows));
+  chunk->offsets.push_back(0);
+  std::vector<FoldInsert> child_inserts;
+  for (const SplicePlan::Run& run : plan.runs) {
+    if (run.inserted) {
+      for (int64_t k = run.lo; k < run.hi; ++k) {
+        const Value& v = InsertCell(inserts, k, c);
+        const int64_t base = chunk->offsets.back();
+        if (v.IsNull()) {
+          chunk->nulls.push_back(1);
+          chunk->offsets.push_back(base);
+          continue;
+        }
+        const Table& group = v.AsTable();
+        for (int64_t j = 0; j < group.NumRows(); ++j) {
+          child_inserts.push_back({base + j, &group.row(j)});
+        }
+        chunk->nulls.push_back(0);
+        chunk->offsets.push_back(base + group.NumRows());
+      }
+      continue;
+    }
+    for (int64_t i = run.lo; i < run.hi; ++i) {
+      const size_t u = static_cast<size_t>(i);
+      chunk->nulls.push_back(prev.nulls[u]);
+      chunk->offsets.push_back(chunk->offsets.back() + prev.offsets[u + 1] -
+                               prev.offsets[u]);
+    }
+  }
+  std::vector<int64_t> child_deleted;
+  for (int64_t d : deleted) {
+    const size_t u = static_cast<size_t>(d);
+    for (int64_t j = prev.offsets[u]; j < prev.offsets[u + 1]; ++j) {
+      child_deleted.push_back(j);
+    }
+  }
+  if (child_deleted.empty() && child_inserts.empty()) {
+    chunk->child = prev.child;
+  } else {
+    Result<ColumnarExtent> child =
+        ColumnarExtent::Fold(*prev.child, child_deleted, child_inserts, doc);
+    if (!child.ok()) return child.status();
+    chunk->child =
+        std::make_shared<const ColumnarExtent>(std::move(child).value());
+  }
+  return ColumnChunkPtr(std::move(chunk));
+}
+
+/// Raw fold: surviving cells are copied, inserted ones encoded.
+ColumnChunkPtr FoldRaw(const ColumnChunk& prev, const SplicePlan& plan,
+                       const std::vector<FoldInsert>& inserts, int32_t c,
+                       const std::vector<size_t>& starts) {
+  auto chunk = std::make_shared<ColumnChunk>();
+  chunk->encoding = ColumnChunk::kRaw;
+  chunk->num_rows = plan.out_rows;
+  for (const SplicePlan::Run& run : plan.runs) {
+    if (run.inserted) {
+      for (int64_t k = run.lo; k < run.hi; ++k) {
+        PutRawCell(InsertCell(inserts, k, c), &chunk->raw_cells);
+      }
+      continue;
+    }
+    const size_t from = starts[static_cast<size_t>(run.lo)];
+    chunk->raw_cells.append(prev.raw_cells, from,
+                            starts[static_cast<size_t>(run.hi)] - from);
+  }
+  return chunk;
+}
+
+/// Fold of a column whose encoding changes: decode the survivors (only if
+/// any is non-null), splice, and encode from scratch.
+Result<ColumnChunkPtr> FoldByReencoding(const ColumnChunk& prev,
+                                        const ColumnSpec& spec,
+                                        const SplicePlan& plan,
+                                        const std::vector<FoldInsert>& inserts,
+                                        int32_t c, bool survivors_null,
+                                        const Document* doc) {
+  std::vector<Value> old_cells;
+  if (!survivors_null) {
+    SVX_RETURN_IF_ERROR(DecodeColumnValues(prev, spec, doc, &old_cells));
+  }
+  std::vector<Value> cells;
+  cells.reserve(static_cast<size_t>(plan.out_rows));
+  for (const SplicePlan::Run& run : plan.runs) {
+    for (int64_t i = run.lo; i < run.hi; ++i) {
+      if (run.inserted) {
+        cells.push_back(InsertCell(inserts, i, c));
+      } else if (survivors_null) {
+        cells.emplace_back();
+      } else {
+        cells.push_back(std::move(old_cells[static_cast<size_t>(i)]));
+      }
+    }
+  }
+  return EncodeCells(
+      plan.out_rows,
+      [&](int64_t i) -> const Value& { return cells[static_cast<size_t>(i)]; },
+      spec);
+}
+
+Result<ColumnChunkPtr> FoldColumn(const ColumnChunk& prev,
+                                  const ColumnSpec& spec,
+                                  const SplicePlan& plan,
+                                  const std::vector<int64_t>& deleted,
+                                  const std::vector<FoldInsert>& inserts,
+                                  int32_t c, const Document* doc) {
+  std::vector<size_t> raw_starts;
+  if (prev.encoding == ColumnChunk::kRaw) {
+    Result<std::vector<size_t>> starts = RawRowStarts(prev, spec);
+    if (!starts.ok()) return starts.status();
+    raw_starts = std::move(starts).value();
+  }
+  uint8_t inserted = 0;
+  for (size_t k = 0; k < inserts.size(); ++k) {
+    inserted |= CellTypeBit(InsertCell(inserts, static_cast<int64_t>(k), c),
+                            spec);
+  }
+  // The survivors of a non-raw chunk have at most its own type; when the
+  // inserts already have it, the union does not depend on them.
+  const uint8_t own = EncodingTypeBit(prev.encoding);
+  uint8_t survivors = own;
+  if (own == 0 || (inserted & own) == 0) {
+    Result<uint8_t> types = SurvivorTypes(prev, plan, raw_starts);
+    if (!types.ok()) return types.status();
+    survivors = *types;
+  }
+  if (EncodingFor(inserted | survivors) != prev.encoding) {
+    return FoldByReencoding(prev, spec, plan, inserts, c, survivors == 0,
+                            doc);
+  }
+  switch (prev.encoding) {
+    case ColumnChunk::kDict:
+      return FoldDict(prev, plan, inserts, c);
+    case ColumnChunk::kIds:
+    case ColumnChunk::kContent:
+      return FoldIds(prev, plan, inserts, c);
+    case ColumnChunk::kNested:
+      if (prev.child == nullptr ||
+          prev.offsets.size() != static_cast<size_t>(prev.num_rows) + 1 ||
+          prev.nulls.size() != static_cast<size_t>(prev.num_rows)) {
+        return Status::ParseError("malformed nested column chunk");
+      }
+      return FoldNested(prev, plan, deleted, inserts, c, doc);
+    case ColumnChunk::kRaw:
+      return FoldRaw(prev, plan, inserts, c, raw_starts);
   }
   return Status::ParseError("bad column chunk encoding");
 }
@@ -615,6 +1137,39 @@ ColumnarExtent ColumnarExtent::EncodeSharing(const Table& table,
         *out.columns_[c] == *prev.columns_[c]) {
       out.columns_[c] = prev.columns_[c];
     }
+  }
+  return out;
+}
+
+Result<ColumnarExtent> ColumnarExtent::Fold(
+    const ColumnarExtent& prev, const std::vector<int64_t>& deleted_rows,
+    const std::vector<FoldInsert>& inserts, const Document* doc) {
+  if (deleted_rows.empty() && inserts.empty()) return prev;
+  Result<SplicePlan> plan = PlanSplice(prev.num_rows_, deleted_rows, inserts);
+  if (!plan.ok()) return plan.status();
+  for (const FoldInsert& ins : inserts) {
+    if (static_cast<int32_t>(ins.row->size()) != prev.schema_.size()) {
+      return Status::InvalidArgument("fold: inserted row arity mismatch");
+    }
+  }
+  ColumnarExtent out;
+  out.schema_ = prev.schema_;
+  out.num_rows_ = plan->out_rows;
+  out.columns_.reserve(prev.columns_.size());
+  for (int32_t c = 0; c < prev.schema_.size(); ++c) {
+    const ColumnChunkPtr& old = prev.columns_[static_cast<size_t>(c)];
+    const ColumnSpec& spec = prev.schema_.column(c);
+    if (old == nullptr || old->num_rows != prev.num_rows_) {
+      return Status::ParseError("column chunk row count mismatch");
+    }
+    Result<ColumnChunkPtr> folded =
+        FoldColumn(*old, spec, *plan, deleted_rows, inserts, c, doc);
+    if (!folded.ok()) return folded.status();
+    ColumnChunkPtr chunk = std::move(folded).value();
+    // As in EncodeSharing: an unchanged column keeps the prior chunk object.
+    if (chunk->num_rows == old->num_rows && *chunk == *old) chunk = old;
+    out.has_content_ = out.has_content_ || ChunkHasContent(*chunk, spec);
+    out.columns_.push_back(std::move(chunk));
   }
   return out;
 }
@@ -871,25 +1426,11 @@ Status ColumnarExtent::ForEachContentId(
     const ColumnSpec& spec = schema_.column(c);
     switch (chunk.encoding) {
       case ColumnChunk::kContent: {
-        std::vector<int32_t> prev;
-        ByteReader r(chunk.id_bytes, 0);
+        IdRowReader r(chunk.id_bytes);
         for (int64_t i = 0; i < chunk.num_rows; ++i) {
-          uint64_t head = 0;
-          if (!r.GetVarint(&head)) return Truncated(r);
-          if (head == 0) continue;
-          uint64_t prefix = head - 1;
-          uint64_t suffix = 0;
-          if (!r.GetVarint(&suffix)) return Truncated(r);
-          if (prefix > prev.size() || prefix + suffix > 1u << 20) {
-            return Status::ParseError("bad ORDPATH delta");
-          }
-          prev.resize(static_cast<size_t>(prefix));
-          for (uint64_t k = 0; k < suffix; ++k) {
-            uint64_t comp = 0;
-            if (!r.GetVarint(&comp)) return Truncated(r);
-            prev.push_back(static_cast<int32_t>(static_cast<uint32_t>(comp)));
-          }
-          SVX_RETURN_IF_ERROR(fn(OrdPath(prev)));
+          bool null = false;
+          SVX_RETURN_IF_ERROR(r.Next(&null));
+          if (!null) SVX_RETURN_IF_ERROR(fn(OrdPath(r.last())));
         }
         break;
       }

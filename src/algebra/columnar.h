@@ -23,6 +23,13 @@
 // Encoding is deterministic: equal tables (same schema, same row order)
 // produce byte-identical serialized chunks — the property the view store's
 // maintained-vs-rematerialized byte-identity checks rely on.
+//
+// Maintenance does not re-encode: Fold splices a row delta (deleted row
+// indices plus inserted rows at their output positions) into the previous
+// epoch's chunks, so its cost follows the delta and the chunk bytes rather
+// than the decoded rows, and its output is byte-identical to Encode of the
+// folded table. Rebuilds and first materialization keep Encode /
+// EncodeSharing.
 #ifndef SVX_ALGEBRA_COLUMNAR_H_
 #define SVX_ALGEBRA_COLUMNAR_H_
 
@@ -85,6 +92,13 @@ struct ColumnChunk {
 
 using ColumnChunkPtr = std::shared_ptr<const ColumnChunk>;
 
+/// One row that ColumnarExtent::Fold splices in: `*row` becomes row
+/// `position` of the folded extent. The tuple is borrowed for the call.
+struct FoldInsert {
+  int64_t position = 0;
+  const Tuple* row = nullptr;
+};
+
 /// A compressed, immutable, column-major extent (see file comment).
 class ColumnarExtent {
  public:
@@ -98,6 +112,28 @@ class ColumnarExtent {
   /// chunk object instead — untouched columns stay shared across epochs.
   static ColumnarExtent EncodeSharing(const Table& table,
                                       const ColumnarExtent& prev);
+
+  /// Applies a row delta to `prev` by splicing its chunks instead of
+  /// re-encoding them. The folded extent is prev without the rows
+  /// `deleted_rows` (strictly ascending prev row indices), with every
+  /// insert placed at its `position` (strictly ascending indices into the
+  /// result); surviving rows keep their relative order. Per encoding:
+  ///   * dictionary: surviving codes are copied (remapped when the
+  ///     dictionary gains inserted strings or loses its last use of one),
+  ///   * ORDPATH: untouched byte ranges are copied and only the first
+  ///     non-null row after each splice point is re-encoded (its shared
+  ///     prefix referred to a predecessor that moved),
+  ///   * nested: offsets and ⊥ flags are folded and the child extent is
+  ///     folded recursively with the groups' rows,
+  ///   * raw: cells are spliced.
+  /// A column whose Encode choice changes under the delta (say, its last
+  /// string is deleted and ids are inserted) is decoded and re-encoded;
+  /// `doc` resolves prev's content references in that case only. The
+  /// result is byte-identical to Encode of the folded table, and chunks
+  /// equal to prev's are shared. InvalidArgument on malformed row lists.
+  [[nodiscard]] static Result<ColumnarExtent> Fold(
+      const ColumnarExtent& prev, const std::vector<int64_t>& deleted_rows,
+      const std::vector<FoldInsert>& inserts, const Document* doc);
 
   /// Decodes every column back to a row-major table (exact inverse of
   /// Encode, preserving row order). Content cells rebind against `doc`; a

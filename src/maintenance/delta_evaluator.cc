@@ -419,35 +419,57 @@ bool CanDeriveTuple(const Pattern& pattern, const std::string& view_name,
   return Deriver(pattern, view_name, doc).Derive(tuple);
 }
 
-TableDelta ComputeViewDelta(const Pattern& pattern,
-                            const std::string& view_name,
-                            const Table& old_extent,
-                            const DocumentDelta& delta) {
-  TableDelta td;
+ViewDiff EvaluateViewDiff(const Pattern& pattern,
+                          const std::string& view_name,
+                          const DocumentDelta& delta) {
+  ViewDiff out;
   if (delta.old_doc == nullptr || delta.new_doc == nullptr) {
-    td.full_rebuild = true;
-    return td;
+    out.full_rebuild = true;
+    return out;
   }
   DeltaEvaluator eval(pattern, view_name, delta);
   if (!eval.Init()) {
+    out.full_rebuild = true;
+    return out;
+  }
+  DeltaEvaluator::Diff diff = eval.Root();
+  out.removed = std::move(diff.removed);
+  out.added = std::move(diff.added);
+  return out;
+}
+
+TableDelta ResolveViewDiff(const Pattern& pattern,
+                           const std::string& view_name, ViewDiff diff,
+                           const Table& extent, const DocumentDelta& delta) {
+  TableDelta td;
+  if (diff.full_rebuild) {
     td.full_rebuild = true;
     return td;
   }
-  DeltaEvaluator::Diff diff = eval.Root();
-  if (diff.Empty()) return td;
-
-  std::unordered_map<std::string, int64_t> old_keys;  // key → row index
-  for (int64_t i = 0; i < old_extent.NumRows(); ++i) {
-    old_keys.emplace(TupleKey(old_extent.row(i)), i);
-  }
+  const std::vector<Tuple>& rows = extent.rows();
+  auto lower_bound = [&rows](const Tuple& t) {
+    return std::lower_bound(rows.begin(), rows.end(), t,
+                            [](const Tuple& a, const Tuple& b) {
+                              return CompareTuples(a, b) < 0;
+                            }) -
+           rows.begin();
+  };
+  /// The extent row equal to `t`, or -1.
+  auto find = [&](const Tuple& t) -> int64_t {
+    const int64_t i = lower_bound(t);
+    if (i < static_cast<int64_t>(rows.size()) &&
+        CompareTuples(rows[static_cast<size_t>(i)], t) == 0) {
+      return i;
+    }
+    return -1;
+  };
 
   // Deduplicate candidates by encoding; the diff lists are multisets.
   std::unordered_set<std::string> removed_keys;
-  std::vector<std::pair<std::string, Tuple>> removed_unique;
+  std::vector<Tuple> removed_unique;
   for (Tuple& t : diff.removed) {
-    std::string k = TupleKey(t);
-    if (removed_keys.insert(k).second) {
-      removed_unique.emplace_back(std::move(k), std::move(t));
+    if (removed_keys.insert(TupleKey(t)).second) {
+      removed_unique.push_back(std::move(t));
     }
   }
 
@@ -457,7 +479,7 @@ TableDelta ComputeViewDelta(const Pattern& pattern,
   for (Tuple& t : diff.added) {
     std::string k = TupleKey(t);
     if (!added_seen.insert(k).second) continue;
-    if (old_keys.count(k) != 0) continue;  // already stored, stays
+    if (find(t) >= 0) continue;  // already stored, stays
     if (removed_keys.count(k) != 0 &&
         !CanDeriveTuple(pattern, view_name, *delta.new_doc, t)) {
       continue;
@@ -468,14 +490,19 @@ TableDelta ComputeViewDelta(const Pattern& pattern,
   // Deletes: stored tuples whose region-using derivations vanished — but a
   // derivation outside the region may still justify them (set semantics),
   // so emit only tuples no longer derivable at all.
-  for (auto& [key, t] : removed_unique) {
-    auto it = old_keys.find(key);
-    if (it == old_keys.end()) continue;
+  std::vector<std::pair<int64_t, Tuple>> deletes;
+  for (Tuple& t : removed_unique) {
+    const int64_t row = find(t);
+    if (row < 0) continue;
     if (CanDeriveTuple(pattern, view_name, *delta.new_doc, t)) continue;
-    td.delete_rows.push_back(it->second);
+    deletes.emplace_back(row, std::move(t));
+  }
+  std::sort(deletes.begin(), deletes.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (auto& [row, t] : deletes) {
+    td.delete_rows.push_back(row);
     td.deletes.push_back(std::move(t));
   }
-  std::sort(td.delete_rows.begin(), td.delete_rows.end());
 
   // Inserted tuples enter the stored extent: bind their content references
   // to the new document.
@@ -487,7 +514,22 @@ TableDelta ComputeViewDelta(const Pattern& pattern,
       return td;
     }
   }
+  std::sort(td.inserts.begin(), td.inserts.end(),
+            [](const Tuple& a, const Tuple& b) {
+              return CompareTuples(a, b) < 0;
+            });
+  td.insert_rows.reserve(td.inserts.size());
+  for (const Tuple& t : td.inserts) td.insert_rows.push_back(lower_bound(t));
   return td;
+}
+
+TableDelta ComputeViewDelta(const Pattern& pattern,
+                            const std::string& view_name,
+                            const Table& old_extent,
+                            const DocumentDelta& delta) {
+  return ResolveViewDiff(pattern, view_name,
+                         EvaluateViewDiff(pattern, view_name, delta),
+                         old_extent, delta);
 }
 
 }  // namespace svx

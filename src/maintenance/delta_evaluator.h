@@ -16,11 +16,19 @@
 // factor by factor, optional edges re-check the ⊥-padding condition, and
 // nested edges re-aggregate the affected group.
 //
-// Set semantics make deletions non-local (a tuple may be justified by a
-// match outside the region), so candidate deletes are verified with a
-// tuple-constrained derivability test against the new document before they
-// are emitted. Tuples are matched by their stable cell encoding
-// (EncodeValue), which is invariant under content-reference rebinding.
+// Evaluation is split in two so that maintenance touches a stored extent
+// only when the update can change it. EvaluateViewDiff needs the documents
+// alone: it yields the candidate removed/added tuples of the region (empty
+// for most views under a small update). ResolveViewDiff then settles a
+// non-empty diff against the extent. Set semantics make deletions non-local
+// (a tuple may be justified by a match outside the region), so candidate
+// deletes are verified with a tuple-constrained derivability test against
+// the new document before they are emitted. Rows are located by binary
+// search in the extent's canonical order (CompareTuples), which compares
+// content references by ORDPATH and so is invariant under rebinding; the
+// result names the deleted row indices and each insert's canonical
+// position, so appliers splice rows instead of re-sorting or re-keying the
+// extent.
 #ifndef SVX_MAINTENANCE_DELTA_EVALUATOR_H_
 #define SVX_MAINTENANCE_DELTA_EVALUATOR_H_
 
@@ -35,15 +43,22 @@ namespace svx {
 
 /// Tuple-level delta against a stored view extent.
 struct TableDelta {
-  /// Rows to remove, matched against the extent by cell encoding (so the
-  /// tuples' content references need not share the extent's Document).
+  /// Rows to remove, in extent order, equal (CompareTuples) to the rows
+  /// `delete_rows` names — their content references need not share the
+  /// extent's Document.
   std::vector<Tuple> deletes;
   /// The same deletions as row indices into the extent the delta was
   /// computed against (ascending) — lets appliers drop rows without
   /// re-encoding the whole extent.
   std::vector<int64_t> delete_rows;
-  /// Rows to add; content references are bound to the delta's new_doc.
+  /// Rows to add, in canonical order; content references are bound to the
+  /// delta's new_doc.
   std::vector<Tuple> inserts;
+  /// For each insert, the index of the first extent row that sorts after it
+  /// (the extent's size if none): inserting every row before its
+  /// `insert_rows` entry and dropping `delete_rows` yields the new extent in
+  /// canonical order.
+  std::vector<int64_t> insert_rows;
   /// True when incremental evaluation does not apply (e.g. the update
   /// touches the pattern root's binding); the caller must rematerialize.
   bool full_rebuild = false;
@@ -53,15 +68,45 @@ struct TableDelta {
   }
 };
 
-/// Computes the delta that turns `old_extent` (the extent of
-/// `pattern`/`view_name` over delta.old_doc, canonically ordered) into the
-/// extent over delta.new_doc. Exact: applying the result reproduces full
-/// rematerialization, for every pattern feature (predicates, optional
-/// edges, nested edges, all attribute kinds).
+/// The candidate tuple changes of one view under one document delta,
+/// evaluated from the documents alone (multisets; not yet checked against
+/// the extent or for derivability elsewhere).
+struct ViewDiff {
+  std::vector<Tuple> removed;
+  std::vector<Tuple> added;
+  /// As TableDelta::full_rebuild.
+  bool full_rebuild = false;
+
+  bool Empty() const {
+    return removed.empty() && added.empty() && !full_rebuild;
+  }
+};
+
+/// Evaluates the diff of `pattern`/`view_name` under `delta` without the
+/// stored extent. An empty diff means the extent is unchanged.
+[[nodiscard]] ViewDiff EvaluateViewDiff(const Pattern& pattern,
+                                        const std::string& view_name,
+                                        const DocumentDelta& delta);
+
+/// Settles `diff` (from EvaluateViewDiff for the same pattern and delta)
+/// against `extent`, the view's extent over delta.old_doc in canonical
+/// order without duplicates. Costs O(|diff| log |extent|) comparisons plus
+/// the derivability checks; the extent is never scanned.
+[[nodiscard]] TableDelta ResolveViewDiff(const Pattern& pattern,
+                                         const std::string& view_name,
+                                         ViewDiff diff, const Table& extent,
+                                         const DocumentDelta& delta);
+
+/// EvaluateViewDiff then ResolveViewDiff: the delta that turns
+/// `old_extent` (the extent of `pattern`/`view_name` over delta.old_doc,
+/// canonically ordered) into the extent over delta.new_doc. Exact:
+/// applying the result reproduces full rematerialization, for every
+/// pattern feature (predicates, optional edges, nested edges, all attribute
+/// kinds).
 [[nodiscard]] TableDelta ComputeViewDelta(const Pattern& pattern,
-                            const std::string& view_name,
-                            const Table& old_extent,
-                            const DocumentDelta& delta);
+                                          const std::string& view_name,
+                                          const Table& old_extent,
+                                          const DocumentDelta& delta);
 
 /// True iff `tuple` is derivable as a result row of `pattern` over `doc`
 /// (the verification primitive behind delete emission). Cells are compared

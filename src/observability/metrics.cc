@@ -110,8 +110,20 @@ std::string FormatValue(double v) {
   return StrFormat("%.3f", v);
 }
 
+/// Renders one histogram series. A labeled series (`base{phase="x"}`) puts
+/// the suffixes on the base name and merges its labels with `le`:
+/// `base_bucket{phase="x",le="1"}`, `base_sum{phase="x"}`.
 void RenderHistogramText(const std::string& name, const Histogram& h,
                          std::string* out) {
+  const size_t brace = name.find('{');
+  const std::string base = name.substr(0, brace);
+  // `labels` is the series' label list without braces ("" when unlabeled).
+  const std::string labels =
+      brace == std::string::npos
+          ? std::string()
+          : name.substr(brace + 1, name.size() - brace - 2);
+  const std::string le_prefix = labels.empty() ? "" : labels + ",";
+  const std::string series = labels.empty() ? "" : "{" + labels + "}";
   size_t last = 0;
   for (size_t b = 0; b < Histogram::kBuckets; ++b) {
     if (h.BucketCount(b) > 0) last = b;
@@ -119,16 +131,17 @@ void RenderHistogramText(const std::string& name, const Histogram& h,
   int64_t cum = 0;
   for (size_t b = 0; b <= last; ++b) {
     cum += h.BucketCount(b);
-    *out += StrFormat("%s_bucket{le=\"%s\"} %lld\n", name.c_str(),
+    *out += StrFormat("%s_bucket{%sle=\"%s\"} %lld\n", base.c_str(),
+                      le_prefix.c_str(),
                       FormatValue(Histogram::BucketUpperBound(b)).c_str(),
                       static_cast<long long>(cum));
   }
   // Buckets past `last` are empty, so cum already equals the total count.
-  *out += StrFormat("%s_bucket{le=\"+Inf\"} %lld\n", name.c_str(),
-                    static_cast<long long>(cum));
-  *out += StrFormat("%s_sum %lld\n", name.c_str(),
+  *out += StrFormat("%s_bucket{%sle=\"+Inf\"} %lld\n", base.c_str(),
+                    le_prefix.c_str(), static_cast<long long>(cum));
+  *out += StrFormat("%s_sum%s %lld\n", base.c_str(), series.c_str(),
                     static_cast<long long>(h.Sum()));
-  *out += StrFormat("%s_count %lld\n", name.c_str(),
+  *out += StrFormat("%s_count%s %lld\n", base.c_str(), series.c_str(),
                     static_cast<long long>(cum));
 }
 
@@ -172,8 +185,6 @@ std::string MetricRegistry::RenderPrometheusText() const {
                          static_cast<long long>(e.gauge->Value()));
         break;
       case Kind::kHistogram:
-        // Histograms are never registered with labels (the _bucket/_sum
-        // suffixes would collide with the label syntax).
         RenderHistogramText(name, *e.histogram, &out);
         break;
     }
@@ -362,6 +373,46 @@ Histogram* MaintenanceApplyLatencyUs() {
       "ApplyUpdate latency, delta evaluation through publish (us)");
   return m;
 }
+Counter* MaintenanceViewsDecoded() {
+  static Counter* const m = MetricRegistry::Global().counter(
+      "svx_maintenance_views_decoded_total",
+      "Views whose rows maintenance read because their diff was non-empty");
+  return m;
+}
+const char* MaintenancePhaseName(MaintenancePhase phase) {
+  switch (phase) {
+    case MaintenancePhase::kDeltaEval:
+      return "delta_eval";
+    case MaintenancePhase::kDecode:
+      return "decode";
+    case MaintenancePhase::kFoldRows:
+      return "fold_rows";
+    case MaintenancePhase::kFoldColumnar:
+      return "fold_columnar";
+    case MaintenancePhase::kStats:
+      return "stats";
+    case MaintenancePhase::kWalAppend:
+      return "wal_append";
+    case MaintenancePhase::kPersist:
+      return "persist";
+    case MaintenancePhase::kPublish:
+      return "publish";
+  }
+  return "unknown";
+}
+Histogram* MaintenancePhaseUs(MaintenancePhase phase) {
+  static Histogram* const* const m = [] {
+    static Histogram* handles[kMaintenancePhases];
+    for (int i = 0; i < kMaintenancePhases; ++i) {
+      handles[i] = MetricRegistry::Global().histogram(
+          StrFormat("svx_maintenance_phase_us{phase=\"%s\"}",
+                    MaintenancePhaseName(static_cast<MaintenancePhase>(i))),
+          "Time one maintenance pass spent in a phase, summed over views (us)");
+    }
+    return handles;
+  }();
+  return m[static_cast<int>(phase)];
+}
 
 Gauge* EpochCurrent() {
   static Gauge* const m = MetricRegistry::Global().gauge(
@@ -538,6 +589,8 @@ void RegisterStandardMetrics() {
   MaintenanceTuplesInserted();
   MaintenanceTuplesDeleted();
   MaintenanceApplyLatencyUs();
+  MaintenanceViewsDecoded();
+  MaintenancePhaseUs(MaintenancePhase::kDeltaEval);
   EpochCurrent();
   EpochPublishes();
   EpochAgeUs();

@@ -259,6 +259,32 @@ Counter* MaintenanceViewsShared();
 Counter* MaintenanceTuplesInserted();
 Counter* MaintenanceTuplesDeleted();
 Histogram* MaintenanceApplyLatencyUs();
+/// Views whose stored rows a maintenance pass read because some delta's
+/// diff for them was non-empty (resident, or decoded from columnar).
+Counter* MaintenanceViewsDecoded();
+
+/// The phases of one maintenance pass, in pass order: diff evaluation, row
+/// decoding, row-level fold (resolving diffs, splicing rows, rebinding
+/// content, or rematerializing a view that must be rebuilt), columnar fold
+/// (or re-encode on rebuild), statistics refresh, WAL append, per-pass
+/// persistence and the epoch publish.
+enum class MaintenancePhase {
+  kDeltaEval,
+  kDecode,
+  kFoldRows,
+  kFoldColumnar,
+  kStats,
+  kWalAppend,
+  kPersist,
+  kPublish,
+};
+inline constexpr int kMaintenancePhases = 8;
+/// "delta_eval", "decode", "fold_rows", "fold_columnar", "stats",
+/// "wal_append", "persist", "publish" — also the pass span's child names.
+const char* MaintenancePhaseName(MaintenancePhase phase);
+/// svx_maintenance_phase_us{phase="..."}: the phase's time in one pass
+/// (summed over views), observed once per pass in which the phase ran.
+Histogram* MaintenancePhaseUs(MaintenancePhase phase);
 
 // Epoch / serving domain.
 Gauge* EpochCurrent();

@@ -10,6 +10,15 @@ TraceSpan* TraceSpan::StartChild(std::string_view name) {
   return children_.back().get();
 }
 
+TraceSpan* TraceSpan::AddTimedChild(std::string_view name,
+                                    int64_t duration_us) {
+  TraceSpan* child = StartChild(name);
+  child->end_ = child->start_;
+  child->start_ -= std::chrono::microseconds(duration_us);
+  child->ended_ = true;
+  return child;
+}
+
 void TraceSpan::End() {
   if (ended_) return;
   end_ = Clock::now();

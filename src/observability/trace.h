@@ -31,6 +31,12 @@ class TraceSpan {
  public:
   TraceSpan* StartChild(std::string_view name);
 
+  /// Appends an already-ended child lasting `duration_us`: the total of a
+  /// phase whose work was done in pieces interleaved with other phases
+  /// (e.g. one maintenance phase summed over views), which no single
+  /// scope covers.
+  TraceSpan* AddTimedChild(std::string_view name, int64_t duration_us);
+
   /// Stops the clock. Idempotent; ScopedSpan calls this from its destructor.
   void End();
 

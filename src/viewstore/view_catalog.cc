@@ -1,8 +1,11 @@
 #include "src/viewstore/view_catalog.h"
 
 #include <algorithm>
+#include <array>
 #include <filesystem>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <set>
 #include <unordered_map>
 #include <unordered_set>
@@ -128,6 +131,167 @@ void SetExtent(StoredView* sv, Table extent, int64_t extent_bytes,
   sv->residency->SetCompressedBytes(sv->compressed_bytes);
   sv->InstallResident(std::make_shared<Table>(std::move(extent)));
 }
+
+/// Installs a folded extent as `sv`'s stored representation: `columnar` is
+/// ColumnarExtent::Fold of the previous epoch's extent, `rows` its decoded
+/// form (content bound to `doc`), installed resident against `budget`.
+void InstallFolded(StoredView* sv, Table rows, ColumnarExtent columnar,
+                   const Document* doc,
+                   const std::shared_ptr<MemoryBudget>& budget) {
+  sv->decode_doc = columnar.has_content() ? doc : nullptr;
+  sv->compressed_bytes = columnar.SerializedByteSize();
+  sv->columnar = std::make_shared<ColumnarExtent>(std::move(columnar));
+  sv->residency = std::make_shared<ExtentResidency>(budget);
+  sv->residency->SetCompressedBytes(sv->compressed_bytes);
+  sv->InstallResident(std::make_shared<Table>(std::move(rows)));
+}
+
+/// Wall time of one maintenance pass split by phase, each summed over the
+/// views and steps it ran for. Reported once per pass: one pass-span child
+/// and one svx_maintenance_phase_us observation per phase that ran.
+class PhaseTimes {
+ public:
+  using Phase = metrics::MaintenancePhase;
+
+  /// Adds the scope's duration to `phase`.
+  class Scope {
+   public:
+    Scope(PhaseTimes* times, Phase phase) : times_(times), phase_(phase) {}
+    ~Scope() { times_->Add(phase_, clock_.ElapsedMicros()); }
+    Scope(const Scope&) = delete;
+    Scope& operator=(const Scope&) = delete;
+
+   private:
+    PhaseTimes* const times_;
+    const Phase phase_;
+    Timer clock_;
+  };
+
+  Scope Time(Phase phase) { return Scope(this, phase); }
+
+  void Add(Phase phase, double us) {
+    us_[static_cast<size_t>(phase)] += us;
+    ran_[static_cast<size_t>(phase)] = true;
+  }
+
+  void Report(TraceSpan* pass_span) const {
+    for (int i = 0; i < metrics::kMaintenancePhases; ++i) {
+      if (!ran_[static_cast<size_t>(i)]) continue;
+      const auto phase = static_cast<Phase>(i);
+      const auto us = static_cast<int64_t>(us_[static_cast<size_t>(i)]);
+      metrics::MaintenancePhaseUs(phase)->Observe(us);
+      if (pass_span != nullptr) {
+        pass_span->AddTimedChild(metrics::MaintenancePhaseName(phase), us);
+      }
+    }
+  }
+
+ private:
+  std::array<double, metrics::kMaintenancePhases> us_{};
+  std::array<bool, metrics::kMaintenancePhases> ran_{};
+};
+
+/// One view's rows during a maintenance pass. The stored extent is read
+/// only when a step's diff is non-empty (Read), shared with the resident
+/// table until a step changes it (Own), and changed by splicing each
+/// step's delta in canonical order (Apply). Every row remembers which row
+/// of the pre-pass extent it is (-1 for inserted rows), which is all
+/// ColumnarExtent::Fold needs to fold the pass into the stored chunks.
+class WorkingRows {
+ public:
+  explicit WorkingRows(const StoredView& view) : view_(view) {}
+
+  /// The current rows. The first call pins the resident table, or decodes
+  /// the columnar extent privately (counted as a reload) — the previous
+  /// epoch's residency is left as it was.
+  Result<const Table*> Read() {
+    if (owned_.has_value()) return &*owned_;
+    if (pinned_ == nullptr) pinned_ = view_.TryResident();
+    if (pinned_ != nullptr) return pinned_.get();
+    Timer timer;
+    Result<Table> decoded = view_.columnar->Decode(view_.decode_doc);
+    if (!decoded.ok()) return decoded.status();
+    view_.residency->budget()->NoteReload(
+        static_cast<int64_t>(timer.ElapsedMicros()));
+    owned_ = std::move(decoded).value();
+    return &*owned_;
+  }
+
+  /// Makes the rows private (copying a pinned resident table) and starts
+  /// tracking row origins. Requires Read() first.
+  void Own() {
+    if (!owned_.has_value()) {
+      owned_ = *pinned_;
+      pinned_ = nullptr;
+    }
+    if (!tracking_) {
+      tracking_ = true;
+      base_rows_ = owned_->NumRows();
+      origin_.resize(static_cast<size_t>(base_rows_));
+      std::iota(origin_.begin(), origin_.end(), 0);
+    }
+  }
+
+  /// Splices `td` (resolved against the current rows) in: drops its
+  /// delete_rows and moves each insert before its insert_rows entry, in one
+  /// pass that keeps canonical order. Requires Own().
+  void Apply(TableDelta td) {
+    std::vector<Tuple>& rows = owned_->mutable_rows();
+    const size_t n = rows.size();
+    std::vector<Tuple> out;
+    std::vector<int64_t> origin;
+    out.reserve(n - td.delete_rows.size() + td.inserts.size());
+    origin.reserve(out.capacity());
+    size_t d = 0;
+    size_t k = 0;
+    for (size_t i = 0; i <= n; ++i) {
+      while (k < td.inserts.size() &&
+             td.insert_rows[k] == static_cast<int64_t>(i)) {
+        out.push_back(std::move(td.inserts[k++]));
+        origin.push_back(-1);
+      }
+      if (i == n) break;
+      if (d < td.delete_rows.size() &&
+          td.delete_rows[d] == static_cast<int64_t>(i)) {
+        ++d;
+        continue;
+      }
+      out.push_back(std::move(rows[i]));
+      origin.push_back(origin_[i]);
+    }
+    rows = std::move(out);
+    origin_ = std::move(origin);
+  }
+
+  /// The private rows. Requires Own().
+  Table& table() { return *owned_; }
+
+  /// The pass as ColumnarExtent::Fold input against the pre-pass extent:
+  /// the pre-pass rows no longer present, and the inserted rows at their
+  /// final positions (borrowing table()'s rows).
+  void FoldInput(std::vector<int64_t>* deleted,
+                 std::vector<FoldInsert>* inserts) const {
+    int64_t next = 0;  // surviving origins ascend: rows keep their order
+    for (size_t i = 0; i < origin_.size(); ++i) {
+      const auto row = static_cast<int64_t>(i);
+      if (origin_[i] < 0) {
+        inserts->push_back({row, &owned_->row(row)});
+        continue;
+      }
+      for (; next < origin_[i]; ++next) deleted->push_back(next);
+      next = origin_[i] + 1;
+    }
+    for (; next < base_rows_; ++next) deleted->push_back(next);
+  }
+
+ private:
+  const StoredView& view_;
+  TablePtr pinned_;
+  std::optional<Table> owned_;
+  bool tracking_ = false;
+  int64_t base_rows_ = 0;
+  std::vector<int64_t> origin_;
+};
 
 }  // namespace
 
@@ -524,6 +688,15 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
     }
   }
   const Document& final_doc = *deltas.back().new_doc;
+  // Only deletes remove nodes, so only they can strand a stored content
+  // reference: a reference survives the batch unless it lies in one of
+  // these subtrees.
+  std::vector<const OrdPath*> deleted_regions;
+  for (const DocumentDelta& delta : deltas) {
+    if (delta.kind == DocumentDelta::Kind::kDelete) {
+      deleted_regions.push_back(&delta.region);
+    }
+  }
   Timer timer;
   ScopedSpan pass_span(span, "maintenance_pass");
   const int shard = shard_.load(std::memory_order_relaxed);
@@ -533,6 +706,8 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
   std::shared_ptr<const CatalogSnapshot> cur = Current();
   MaintenanceStats ms;
   ms.deltas_applied = static_cast<int32_t>(deltas.size());
+  PhaseTimes phases;
+  using Phase = metrics::MaintenancePhase;
   // WAL eligibility: the whole pass logs as one record of net tuple changes
   // — unless any view rebuilds, which is not expressible as a tuple delta
   // and forces a full checkpoint instead.
@@ -541,44 +716,38 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
   std::vector<std::shared_ptr<const StoredView>> next;
   next.reserve(cur->views().size());
   for (const std::shared_ptr<const StoredView>& v : cur->views()) {
-    const bool has_content = v->columnar->has_content();
     // The view's value-count cache, built from the pre-batch extent on
     // first use and folded step by step (writer-private, see StoredView).
     std::shared_ptr<ValueCountCache> cache = std::move(v->value_counts);
-    // Delta evaluation needs the decoded rows; `base` decodes them back in
-    // if the budget evicted the table, and pins them for the whole pass.
-    Result<TablePtr> base_result = v->table();
-    if (!base_result.ok()) return base_result.status();
-    TablePtr base = std::move(base_result).value();
     // Copy-on-maintenance, lazily: readers of the current epoch keep the
-    // pre-update extent; `extent` always points at the rows the next step's
-    // delta must be computed against; `working` is the successor's private
-    // row-major copy, encoded columnar once the batch is folded.
+    // pre-update extent. `rows` reads the stored rows only for a non-empty
+    // diff; `nv` is the successor, created by the first step that changes
+    // the extent.
+    WorkingRows rows(*v);
+    bool read = false;
     std::shared_ptr<StoredView> nv;
-    Table working;
-    const Table* extent = base.get();
-    auto ensure_copy = [&]() {
+    auto ensure_successor = [&]() {
       if (nv != nullptr) return;
       nv = std::make_shared<StoredView>();
       nv->def = v->def;
       nv->extent_bytes = v->extent_bytes;
       nv->stats = v->stats;
-      working = *base;
-      extent = &working;
     };
     bool rebuilt = false;
+    Table rebuilt_extent;
     // Net tuple changes across the batch, keyed by stable tuple encoding —
     // a delete cancels a pending insert of the same row and vice versa, so
     // the WAL record captures only what replay must actually change.
     std::map<std::string, Tuple> net_inserts;
     std::set<std::string> net_deletes;
     auto rebuild = [&]() {
-      ensure_copy();
+      ensure_successor();
+      auto phase = phases.Time(Phase::kFoldRows);
       Table fresh = MaterializeView(v->def.pattern, v->def.name, final_doc);
       if (partition_ != nullptr) partition_->Filter(v->def, &fresh);
       fresh.SortRowsCanonical();
-      working = std::move(fresh);
-      nv->extent_bytes = ExtentByteSize(working);
+      rebuilt_extent = std::move(fresh);
+      nv->extent_bytes = ExtentByteSize(rebuilt_extent);
       cache = nullptr;  // counts describe the discarded extent
       rebuilt = true;
       wal_eligible = false;
@@ -586,52 +755,62 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       ++ms.views_touched;
     };
     for (const DocumentDelta& delta : deltas) {
-      TableDelta td =
-          ComputeViewDelta(v->def.pattern, v->def.name, *extent, delta);
-      if (td.full_rebuild) {
+      ViewDiff diff;
+      {
+        auto phase = phases.Time(Phase::kDeltaEval);
+        diff = EvaluateViewDiff(v->def.pattern, v->def.name, delta);
+      }
+      if (diff.full_rebuild) {
         // Rebuilding from the batch's final document subsumes every
         // remaining step: stop folding.
         rebuild();
         break;
       }
-      if (td.Empty()) continue;  // content rebind happens once, at the end
-      ensure_copy();
-      if (cache == nullptr) {
-        // Must describe the pre-step extent: build before mutating rows.
-        cache = std::make_shared<ValueCountCache>(BuildValueCounts(*extent));
+      if (diff.Empty()) continue;  // content rebind happens once, at the end
+      const Table* extent = nullptr;
+      {
+        auto phase = phases.Time(Phase::kDecode);
+        Result<const Table*> current = rows.Read();
+        if (!current.ok()) return current.status();
+        extent = *current;
       }
-      std::vector<Tuple>& rows = working.mutable_rows();
-      int64_t deleted = 0;
-      if (!td.delete_rows.empty()) {
-        // The delta was computed against this very extent (same row
-        // order), so dropping by index avoids re-encoding rows for key
-        // matching.
-        size_t next_delete = 0;
-        size_t out = 0;
-        for (size_t i = 0; i < rows.size(); ++i) {
-          if (next_delete < td.delete_rows.size() &&
-              static_cast<int64_t>(i) == td.delete_rows[next_delete]) {
-            nv->extent_bytes -= TupleByteSize(rows[i]);
-            ++deleted;
-            ++next_delete;
-            continue;
-          }
-          if (out != i) rows[out] = std::move(rows[i]);
-          ++out;
+      if (!read) {
+        read = true;
+        ++ms.views_decoded;
+      }
+      TableDelta td;
+      {
+        auto phase = phases.Time(Phase::kFoldRows);
+        td = ResolveViewDiff(v->def.pattern, v->def.name, std::move(diff),
+                             *extent, delta);
+      }
+      if (td.full_rebuild) {
+        rebuild();
+        break;
+      }
+      if (td.Empty()) continue;
+      ensure_successor();
+      {
+        auto phase = phases.Time(Phase::kDecode);
+        rows.Own();
+        extent = &rows.table();
+      }
+      {
+        auto phase = phases.Time(Phase::kStats);
+        if (cache == nullptr) {
+          // Must describe the pre-step extent: build before splicing.
+          cache = std::make_shared<ValueCountCache>(BuildValueCounts(*extent));
         }
-        rows.resize(out);
+        nv->stats = RefreshViewStatsCached(nv->stats, extent->schema(),
+                                           cache.get(), td.deletes,
+                                           td.inserts);
       }
       // Byte sizes track per-tuple cell sizes (rows carry no per-row
-      // header), so the recorded size stays exact without a full recount.
-      for (const Tuple& t : td.inserts) {
-        nv->extent_bytes += TupleByteSize(t);
-        rows.push_back(t);
-      }
-      nv->stats = RefreshViewStatsCached(nv->stats, working.schema(),
-                                         cache.get(), td.deletes, td.inserts);
-      // The next step's delta is computed against canonical row order.
-      working.SortRowsCanonical();
-      ms.tuples_deleted += deleted;
+      // header), so the recorded size stays exact without a full recount;
+      // a deleted tuple equals its row, so it has the row's size.
+      for (const Tuple& t : td.deletes) nv->extent_bytes -= TupleByteSize(t);
+      for (const Tuple& t : td.inserts) nv->extent_bytes += TupleByteSize(t);
+      ms.tuples_deleted += static_cast<int64_t>(td.deletes.size());
       ms.tuples_inserted += static_cast<int64_t>(td.inserts.size());
       if (wal_eligible) {
         for (const Tuple& t : td.deletes) {
@@ -645,32 +824,41 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
           }
         }
       }
+      // Splicing keeps canonical order: the next step resolves against it.
+      auto phase = phases.Time(Phase::kFoldRows);
+      rows.Apply(std::move(td));
     }
-    if (!rebuilt && nv == nullptr && !has_content) {
-      // Nothing in the extent references any document version in the
-      // batch: the stored view — and its on-disk generation — carries into
-      // the new epoch as-is, shared with readers of older epochs.
-      v->value_counts = std::move(cache);
-      next.push_back(v);
-      ++ms.views_shared;
-      continue;
-    }
-    if (!rebuilt && has_content && nv == nullptr) {
+    if (!rebuilt && nv == nullptr) {
+      if (!v->columnar->has_content()) {
+        // Nothing in the extent references any document version in the
+        // batch: the stored view — and its on-disk generation — carries
+        // into the new epoch as-is, shared with readers of older epochs.
+        v->value_counts = std::move(cache);
+        next.push_back(v);
+        ++ms.views_shared;
+        continue;
+      }
       // Untouched content view. Content references are stored as ORDPATHs
       // (document-independent), so the whole compressed extent — every
       // chunk, and its on-disk generation — carries across the document
-      // change; only the decode document moves forward. Survival means
-      // every reference resolves in the final document, validated off the
-      // chunks without decoding any rows; a reference that did not survive
-      // as expected means the view cannot be patched incrementally:
-      // rebuild it.
-      Status valid = v->columnar->ForEachContentId([&](const OrdPath& id) {
-        if (final_doc.FindByOrdPath(id) == kInvalidNode) {
-          return Status::NotFound("content reference lost: " + id.ToString());
-        }
-        return Status::OK();
-      });
-      if (valid.ok()) {
+      // change; only the decode document moves forward. A reference
+      // survives unless a delete of the batch removed its subtree, which
+      // an insert-only batch cannot do; a reference that did not survive
+      // means the view cannot be patched incrementally: rebuild it.
+      Status survives = Status::OK();
+      if (!deleted_regions.empty()) {
+        auto phase = phases.Time(Phase::kFoldRows);
+        survives = v->columnar->ForEachContentId([&](const OrdPath& id) {
+          for (const OrdPath* region : deleted_regions) {
+            if (region->IsAncestorOrSelf(id)) {
+              return Status::NotFound("content reference deleted: " +
+                                      id.ToString());
+            }
+          }
+          return Status::OK();
+        });
+      }
+      if (survives.ok()) {
         auto carried = std::make_shared<StoredView>();
         carried->def = v->def;
         carried->stats = v->stats;
@@ -685,6 +873,7 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
         // re-lookup); a cold view stays cold and the next access decodes
         // against the final document directly.
         if (TablePtr res = v->TryResident()) {
+          auto phase = phases.Time(Phase::kFoldRows);
           Table copy = *res;
           bool rebound = true;
           for (Tuple& row : copy.mutable_rows()) {
@@ -703,11 +892,25 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
         continue;
       }
       rebuild();
-    } else if (!rebuilt && has_content) {
-      // Touched content view: rebind the surviving rows of the working
-      // copy to the final document; a lost reference forces a rebuild.
+    }
+    std::optional<ColumnarExtent> folded;
+    if (!rebuilt) {
+      // Tuple-changed view: fold the pass into the stored chunks.
+      auto phase = phases.Time(Phase::kFoldColumnar);
+      std::vector<int64_t> deleted;
+      std::vector<FoldInsert> inserts;
+      rows.FoldInput(&deleted, &inserts);
+      Result<ColumnarExtent> f =
+          ColumnarExtent::Fold(*v->columnar, deleted, inserts, v->decode_doc);
+      if (!f.ok()) return f.status();
+      folded = std::move(f).value();
+    }
+    if (!rebuilt && folded->has_content()) {
+      // Rebind the surviving rows to the final document; a lost reference
+      // forces a rebuild.
+      auto phase = phases.Time(Phase::kFoldRows);
       bool rebound = true;
-      for (Tuple& row : working.mutable_rows()) {
+      for (Tuple& row : rows.table().mutable_rows()) {
         if (!RebindTupleContent(&row, final_doc).ok()) {
           rebound = false;
           break;
@@ -719,8 +922,12 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
       // generation 0: persisted fresh. Chunk sharing with the old columnar
       // still applies — a rebuild often reproduces most columns unchanged.
       const int64_t bytes = nv->extent_bytes;
-      SetExtent(nv.get(), std::move(working), bytes, v->columnar.get(),
-                budget_);
+      {
+        auto phase = phases.Time(Phase::kFoldColumnar);
+        SetExtent(nv.get(), std::move(rebuilt_extent), bytes,
+                  v->columnar.get(), budget_);
+      }
+      auto phase = phases.Time(Phase::kStats);
       nv->stats = ComputeViewStats(*nv->columnar, nv->decode_doc);
       next.push_back(std::move(nv));
       continue;
@@ -730,20 +937,20 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
     ++ms.views_touched;
     nv->value_counts = std::move(cache);
     if (wal_eligible && (!net_deletes.empty() || !net_inserts.empty())) {
+      auto phase = phases.Time(Phase::kWalAppend);
       WalViewDelta wd;
       wd.view = v->def.name;
       wd.delete_keys.assign(net_deletes.begin(), net_deletes.end());
-      Table inserts(working.schema());
+      Table inserts(v->columnar->schema());
       for (const auto& [key, row] : net_inserts) inserts.AddRow(row);
       wd.inserts_bytes = SerializeExtent(inserts);
       wal_views.push_back(std::move(wd));
     }
     {
-      // The incremental byte accounting (TupleByteSize adds/removes above)
-      // keeps extent_bytes exact without a recount.
-      const int64_t bytes = nv->extent_bytes;
-      SetExtent(nv.get(), std::move(working), bytes, v->columnar.get(),
-                budget_);
+      // The incremental byte accounting above keeps extent_bytes exact.
+      auto phase = phases.Time(Phase::kFoldColumnar);
+      InstallFolded(nv.get(), std::move(rows.table()), std::move(*folded),
+                    &final_doc, budget_);
     }
     next.push_back(std::move(nv));
   }
@@ -757,9 +964,10 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
   pass_span.Attr("epoch", publish_epoch);
   pass_span.Attr("views_touched", static_cast<int64_t>(ms.views_touched));
   pass_span.Attr("views_rebuilt", static_cast<int64_t>(ms.views_rebuilt));
+  pass_span.Attr("views_decoded", static_cast<int64_t>(ms.views_decoded));
   if (wal_eligible) {
     if (!wal_views.empty()) {
-      ScopedSpan wal_span(pass_span.get(), "wal_append");
+      auto phase = phases.Time(Phase::kWalAppend);
       SVX_RETURN_IF_ERROR(EnsureWalLocked());
       WalRecord record;
       record.epoch = publish_epoch;
@@ -770,16 +978,21 @@ Status ViewCatalog::ApplyUpdateBatchImpl(
   } else if (!dir_.empty()) {
     // Per-pass extent persistence without a WAL, or the checkpoint a
     // rebuild forces in WAL mode.
-    ScopedSpan persist_span(pass_span.get(), "persist");
+    auto phase = phases.Time(Phase::kPersist);
     SVX_RETURN_IF_ERROR(PersistLocked(next, publish_epoch));
   }
-  PublishLocked(std::move(next), std::move(new_doc), std::move(new_summary),
-                /*doc_changed=*/true, /*views_changed=*/false);
+  {
+    auto phase = phases.Time(Phase::kPublish);
+    PublishLocked(std::move(next), std::move(new_doc), std::move(new_summary),
+                  /*doc_changed=*/true, /*views_changed=*/false);
+  }
+  phases.Report(pass_span.get());
   const int64_t total_us = static_cast<int64_t>(timer.ElapsedMicros());
   metrics::MaintenancePasses()->Add(1);
   metrics::MaintenanceViewsTouched()->Add(ms.views_touched);
   metrics::MaintenanceViewsRebuilt()->Add(ms.views_rebuilt);
   metrics::MaintenanceViewsShared()->Add(ms.views_shared);
+  metrics::MaintenanceViewsDecoded()->Add(ms.views_decoded);
   metrics::MaintenanceTuplesInserted()->Add(ms.tuples_inserted);
   metrics::MaintenanceTuplesDeleted()->Add(ms.tuples_deleted);
   metrics::MaintenanceApplyLatencyUs()->Observe(total_us);

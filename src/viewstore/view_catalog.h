@@ -90,6 +90,10 @@ struct MaintenanceStats {
   int32_t views_touched = 0;    // views whose extent changed
   int32_t views_rebuilt = 0;    // fell back to full rematerialization
   int32_t views_shared = 0;     // carried into the new epoch untouched
+  /// Views whose stored rows the pass read: those with a non-empty diff
+  /// for some delta (served resident, else decoded from columnar). Views
+  /// with only empty diffs are shared or carried without decoding.
+  int32_t views_decoded = 0;
   int64_t tuples_inserted = 0;  // across all incremental deltas
   int64_t tuples_deleted = 0;
   int32_t deltas_applied = 0;   // batch size of the pass
@@ -177,18 +181,21 @@ class ViewCatalog {
   [[nodiscard]] Status Add(ViewDef def, Table extent)
       SVX_EXCLUDES(writer_mu_);
 
-  /// Maintains every stored extent under a document update: computes a
-  /// tuple-level delta per view (src/maintenance/), builds a successor
-  /// epoch applying it — sharing untouched extents with the current epoch,
-  /// falling back to rematerialization when incremental evaluation does
-  /// not apply — rebinds stored content references to delta.new_doc,
-  /// refreshes statistics in O(|delta|) through per-view value-count
-  /// caches, persists changed extents under fresh generations when the
-  /// catalog has a store directory, and publishes the successor with one
-  /// pointer swap. Afterwards every extent is byte-identical to a fresh
-  /// materialization over delta.new_doc. Readers of older epochs are
-  /// undisturbed (but with this overload the caller owns both documents'
-  /// lifetimes, as with delta itself).
+  /// Maintains every stored extent under a document update: evaluates a
+  /// tuple-level diff per view from the documents alone
+  /// (src/maintenance/), and only for views whose diff is non-empty reads
+  /// the stored rows, settles the diff by binary search, splices the rows
+  /// in canonical order and folds the columnar chunks
+  /// (ColumnarExtent::Fold). Untouched extents are shared with the current
+  /// epoch without being decoded; rematerialization is the fallback when
+  /// incremental evaluation does not apply. Stored content references
+  /// rebind to delta.new_doc, statistics refresh in O(|delta|) through
+  /// per-view value-count caches, changed extents persist under fresh
+  /// generations when the catalog has a store directory, and the successor
+  /// publishes with one pointer swap. Afterwards every extent is
+  /// byte-identical to a fresh materialization over delta.new_doc. Readers
+  /// of older epochs are undisturbed (but with this overload the caller
+  /// owns both documents' lifetimes, as with delta itself).
   [[nodiscard]] Status ApplyUpdate(const DocumentDelta& delta,
                                    MaintenanceStats* out_stats = nullptr)
       SVX_EXCLUDES(writer_mu_);
@@ -210,10 +217,14 @@ class ViewCatalog {
   /// stream), provided the omitted updates touch no rows of any stored
   /// view — the sharded catalog's region routing guarantees exactly this.
   /// `new_doc`, when given, must be the last delta's new_doc. Per view, the
-  /// tuple deltas of the steps are folded over a private working extent;
-  /// content references rebind once against the final document. `span`
-  /// (optional) gets a "maintenance_pass" child span carrying
-  /// deltas/epoch/views_touched attrs (and the shard label when set).
+  /// tuple deltas of the steps are spliced into a private working extent,
+  /// which is decoded only once some step's diff is non-empty; the
+  /// columnar extent is folded once at the end and content references
+  /// rebind once against the final document. `span` (optional) gets a
+  /// "maintenance_pass" child span carrying deltas/epoch/views_touched/
+  /// views_decoded attrs (and the shard label when set), with one child
+  /// per phase that ran (metrics::MaintenancePhaseName), each the phase's
+  /// total over the pass.
   [[nodiscard]] Status ApplyUpdateBatch(
       const std::vector<DocumentDelta>& deltas,
       std::shared_ptr<const Document> new_doc,

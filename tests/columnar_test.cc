@@ -1,16 +1,18 @@
 // Columnar extent representation: randomized round-trip determinism,
 // row-major (v1) store back-compat, dictionary-driven statistics parity,
-// column-selective decoding, memory-budget eviction/reload, and epoch
-// chunk sharing.
+// column-selective decoding, memory-budget eviction/reload, epoch chunk
+// sharing, and folding row deltas into chunks (Fold == Encode).
 #include "src/algebra/columnar.h"
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -354,6 +356,226 @@ TEST(Columnar, MaintenanceSharesUnchangedChunksAcrossEpochs) {
     EXPECT_EQ(shared.column(c).get(), before->column(c).get())
         << "identical column " << c << " must reuse the prior epoch's chunk";
   }
+}
+
+// ---------------------------------------------------------------------------
+// Fold: splicing a row delta into chunks equals re-encoding the result
+// ---------------------------------------------------------------------------
+
+/// Random cells for a table exercising every encoding and every fold path.
+class FoldCells {
+ public:
+  FoldCells(Rng* rng, const Document* doc) : rng_(*rng), doc_(*doc) {
+    auto nested = std::make_shared<Schema>();
+    nested->Append({"g.id", ColumnKind::kId, nullptr});
+    nested->Append({"g.v", ColumnKind::kValue, nullptr});
+    nested_ = nested;
+    schema_.Append({"s", ColumnKind::kValue, nullptr});    // dictionary
+    schema_.Append({"id", ColumnKind::kId, nullptr});      // ORDPATH
+    schema_.Append({"c", ColumnKind::kContent, nullptr});  // content
+    schema_.Append({"n", ColumnKind::kNested, nested_});   // nested
+    schema_.Append({"mix", ColumnKind::kValue, nullptr});  // raw or flipping
+    schema_.Append({"rare", ColumnKind::kValue, nullptr});  // mostly ⊥
+  }
+
+  const Schema& schema() const { return schema_; }
+
+  Tuple Row() {
+    Tuple row;
+    row.push_back(Null(0.2) ? Value() : String());
+    row.push_back(Null(0.2) ? Value() : Value(Id()));
+    row.push_back(Null(0.2) ? Value() : Content());
+    row.push_back(Null(0.25) ? Value() : Group());
+    // Mostly strings, sometimes ids: a chunk may be dictionary or raw, and
+    // a fold may flip it either way.
+    if (Null(0.2)) {
+      row.emplace_back();
+    } else {
+      row.push_back(rng_.Bernoulli(0.15) ? Value(Id()) : String());
+    }
+    row.push_back(Null(0.9) ? Value() : String());
+    return row;
+  }
+
+ private:
+  bool Null(double p) { return rng_.Bernoulli(p); }
+
+  Value String() {
+    static const char* kVocab[] = {"", "a", "ab", "b", "pen", "pencil", "z"};
+    if (rng_.Bernoulli(0.2)) {
+      // A string the dictionary has probably not seen yet.
+      return Value("fresh" + std::to_string(rng_.Uniform(0, 999)));
+    }
+    return Value(std::string(kVocab[rng_.Uniform(0, 6)]));
+  }
+
+  /// Ids sharing long prefixes, some careted (inserted between siblings).
+  OrdPath Id() {
+    static const char* kIds[] = {"1",       "1.1",       "1.1.1",
+                                 "1.1.2",   "1.1.^.1",   "1.1.^.1.3",
+                                 "1.0.1",   "1.2.5.7.1", "1.2.5.7.2",
+                                 "1.2.5.^.1", "1.3",     "1.3.1.1.1.1"};
+    return OrdPath::FromString(kIds[rng_.Uniform(0, 11)]);
+  }
+
+  Value Content() {
+    NodeIndex n = static_cast<NodeIndex>(
+        rng_.Uniform(0, static_cast<int64_t>(doc_.size()) - 1));
+    return Value(NodeRef{&doc_, n});
+  }
+
+  /// A group of 0-3 rows (an empty group is distinct from ⊥).
+  Value Group() {
+    auto t = std::make_shared<Table>(*nested_);
+    int64_t rows = rng_.Uniform(0, 3);
+    for (int64_t i = 0; i < rows; ++i) {
+      t->AddRow({Value(Id()), Null(0.3) ? Value() : String()});
+    }
+    return Value(TablePtr(std::move(t)));
+  }
+
+  Rng& rng_;
+  const Document& doc_;
+  std::shared_ptr<const Schema> nested_;
+  Schema schema_;
+};
+
+std::string ExtentBytes(const ColumnarExtent& e) {
+  std::string out;
+  e.AppendBytes(&out);
+  return out;
+}
+
+TEST(ColumnarFold, RandomDeltasEqualReencoding) {
+  std::unique_ptr<Document> doc = Doc("a(b(c d) e(f(g) h) i)");
+  Rng rng(20240611);
+  int folds = 0;
+  int reencoded_columns = 0;  // columns whose encoding changed under a fold
+  for (int iter = 0; iter < 400; ++iter) {
+    FoldCells cells(&rng, doc.get());
+    Table before(cells.schema());
+    const int64_t n = rng.Uniform(0, 24);
+    for (int64_t i = 0; i < n; ++i) before.AddRow(cells.Row());
+
+    // Delete with a per-iteration rate, from none up to every row.
+    static const double kDeleteRates[] = {0.0, 0.1, 0.4, 1.0};
+    const double rate = kDeleteRates[rng.Uniform(0, 3)];
+    std::vector<int64_t> deleted;
+    std::vector<Tuple> survivors;
+    for (int64_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(rate)) {
+        deleted.push_back(i);
+      } else {
+        survivors.push_back(before.row(i));
+      }
+    }
+    // Inserts at random distinct output positions.
+    const int64_t k = rng.Uniform(0, 5);
+    const int64_t out_rows = static_cast<int64_t>(survivors.size()) + k;
+    std::vector<int64_t> positions;
+    while (static_cast<int64_t>(positions.size()) < k) {
+      int64_t p = rng.Uniform(0, out_rows - 1);
+      if (std::find(positions.begin(), positions.end(), p) ==
+          positions.end()) {
+        positions.push_back(p);
+      }
+    }
+    std::sort(positions.begin(), positions.end());
+    std::vector<Tuple> inserted;
+    for (int64_t i = 0; i < k; ++i) inserted.push_back(cells.Row());
+    Table after(cells.schema());
+    std::vector<FoldInsert> inserts;
+    size_t next_survivor = 0;
+    size_t next_insert = 0;
+    for (int64_t row = 0; row < out_rows; ++row) {
+      if (next_insert < positions.size() &&
+          positions[next_insert] == row) {
+        after.AddRow(inserted[next_insert]);
+        inserts.push_back({row, &inserted[next_insert]});
+        ++next_insert;
+      } else {
+        after.AddRow(survivors[next_survivor++]);
+      }
+    }
+
+    const ColumnarExtent prev = ColumnarExtent::Encode(before);
+    const ColumnarExtent want = ColumnarExtent::Encode(after);
+    Result<ColumnarExtent> got =
+        ColumnarExtent::Fold(prev, deleted, inserts, doc.get());
+    ASSERT_TRUE(got.ok()) << got.status().ToString() << " iter " << iter;
+    ASSERT_EQ(ExtentBytes(*got), ExtentBytes(want))
+        << "iter " << iter << ": fold diverged from Encode\n"
+        << before.ToString() << "->\n"
+        << after.ToString();
+    EXPECT_TRUE(*got == want);
+    EXPECT_EQ(got->has_content(), want.has_content()) << "iter " << iter;
+    EXPECT_EQ(got->SerializedByteSize(), want.SerializedByteSize());
+    for (int32_t c = 0; c < prev.num_columns(); ++c) {
+      if (prev.column(c)->encoding != want.column(c)->encoding) {
+        ++reencoded_columns;
+      }
+    }
+    Result<Table> decoded = got->Decode(doc.get());
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(SerializeExtent(*decoded), SerializeExtent(after));
+    ++folds;
+  }
+  EXPECT_EQ(folds, 400);
+  // The generator must reach the re-encoding path, not only the splices.
+  EXPECT_GT(reencoded_columns, 20);
+}
+
+TEST(ColumnarFold, DeletingEveryRowAndEmptyFolds) {
+  std::unique_ptr<Document> doc = Doc("a(b c)");
+  Rng rng(5);
+  FoldCells cells(&rng, doc.get());
+  Table before(cells.schema());
+  for (int i = 0; i < 12; ++i) before.AddRow(cells.Row());
+  const ColumnarExtent prev = ColumnarExtent::Encode(before);
+
+  std::vector<int64_t> all(12);
+  std::iota(all.begin(), all.end(), 0);
+  Result<ColumnarExtent> empty = ColumnarExtent::Fold(prev, all, {}, nullptr);
+  ASSERT_TRUE(empty.ok()) << empty.status().ToString();
+  EXPECT_EQ(ExtentBytes(*empty),
+            ExtentBytes(ColumnarExtent::Encode(Table(cells.schema()))));
+  EXPECT_EQ(empty->num_rows(), 0);
+
+  // An empty delta shares every chunk object.
+  Result<ColumnarExtent> same = ColumnarExtent::Fold(prev, {}, {}, nullptr);
+  ASSERT_TRUE(same.ok());
+  for (int32_t c = 0; c < prev.num_columns(); ++c) {
+    EXPECT_EQ(same->column(c).get(), prev.column(c).get()) << c;
+  }
+
+  // Malformed row lists are rejected, not folded.
+  EXPECT_FALSE(ColumnarExtent::Fold(prev, {3, 3}, {}, nullptr).ok());
+  EXPECT_FALSE(ColumnarExtent::Fold(prev, {12}, {}, nullptr).ok());
+  Tuple row = cells.Row();
+  EXPECT_FALSE(
+      ColumnarExtent::Fold(prev, {}, {{13, &row}}, doc.get()).ok());
+}
+
+TEST(ColumnarFold, UnchangedColumnsKeepTheirChunks) {
+  // Replacing one row by another that differs only in its value column
+  // leaves the id column's bytes as they were: the fold shares the chunk.
+  std::unique_ptr<Document> doc = Doc("a(b c)");
+  Schema schema;
+  schema.Append({"id", ColumnKind::kId, nullptr});
+  schema.Append({"v", ColumnKind::kValue, nullptr});
+  Table before(schema);
+  for (const char* id : {"1.1", "1.2", "1.3"}) {
+    before.AddRow({Value(OrdPath::FromString(id)), Value(std::string("x"))});
+  }
+  const ColumnarExtent prev = ColumnarExtent::Encode(before);
+  Tuple replacement = {Value(OrdPath::FromString("1.2")),
+                       Value(std::string("y"))};
+  Result<ColumnarExtent> got =
+      ColumnarExtent::Fold(prev, {1}, {{1, &replacement}}, nullptr);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got->column(0).get(), prev.column(0).get());
+  EXPECT_NE(got->column(1).get(), prev.column(1).get());
+  EXPECT_EQ(got->column(1)->dict, (std::vector<std::string>{"x", "y"}));
 }
 
 }  // namespace

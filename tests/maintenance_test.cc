@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/maintenance/delta_evaluator.h"
+#include "src/observability/trace.h"
 #include "src/pattern/pattern_parser.h"
 #include "src/util/rng.h"
 #include "src/viewstore/extent_io.h"
@@ -164,8 +165,15 @@ TEST(DocumentUpdate, RepeatedMidSiblingInsertsKeepOrderAndIds) {
 // Maintenance vs rematerialization — targeted cases
 // ---------------------------------------------------------------------------
 
-/// Applies the delta through a catalog and checks every extent and its
-/// statistics are byte-identical to a fresh materialization.
+std::string ColumnarBytes(const ColumnarExtent& extent) {
+  std::string out;
+  extent.AppendBytes(&out);
+  return out;
+}
+
+/// Applies the delta through a catalog and checks every extent — decoded
+/// and columnar — and its statistics are byte-identical to a fresh
+/// materialization.
 void ExpectMaintainedEqualsRemat(const ViewCatalog& catalog,
                                  const Document& new_doc) {
   for (const auto& v : catalog.views()) {
@@ -175,6 +183,8 @@ void ExpectMaintainedEqualsRemat(const ViewCatalog& catalog,
     ASSERT_NE(want, nullptr);
     EXPECT_EQ(SerializeExtent(v->extent()), SerializeExtent(want->extent()))
         << v->def.name << " extent diverged from rematerialization";
+    EXPECT_EQ(ColumnarBytes(*v->columnar), ColumnarBytes(*want->columnar))
+        << v->def.name << " folded chunks diverged from a fresh encoding";
     EXPECT_TRUE(v->stats == want->stats)
         << v->def.name << " stats diverged from rematerialization";
     EXPECT_EQ(v->extent_bytes, want->extent_bytes) << v->def.name;
@@ -411,20 +421,54 @@ const char* kInsertPool[] = {
     "open_auction(initial=7 bidder(increase=2))",
 };
 
-void RunRandomizedMaintenance(uint64_t seed, int ops, int* performed,
-                              int64_t memory_budget_bytes = 0) {
+/// One random update of `doc`: a subtree delete, or an insert of a pool
+/// subtree (half the time careted before an existing child).
+Result<UpdateResult> RandomUpdate(const Document& doc, Rng* rng) {
+  if (doc.size() > 2 && rng->Bernoulli(0.45)) {
+    // Delete a random non-root subtree.
+    NodeIndex n = static_cast<NodeIndex>(
+        rng->Uniform(1, static_cast<int64_t>(doc.size()) - 1));
+    return DeleteSubtree(doc, doc.ord_path(n));
+  }
+  // Insert a pool subtree under a random node — half the time careted
+  // before a random existing child instead of appended.
+  NodeIndex n = static_cast<NodeIndex>(
+      rng->Uniform(0, static_cast<int64_t>(doc.size()) - 1));
+  std::unique_ptr<Document> sub = Doc(
+      kInsertPool[static_cast<size_t>(rng->Uniform(
+          0, static_cast<int64_t>(std::size(kInsertPool)) - 1))]);
+  std::vector<NodeIndex> kids = doc.children(n);
+  if (!kids.empty() && rng->Bernoulli(0.5)) {
+    OrdPath before = doc.ord_path(kids[static_cast<size_t>(
+        rng->Uniform(0, static_cast<int64_t>(kids.size()) - 1))]);
+    return InsertSubtree(doc, doc.ord_path(n), *sub, &before);
+  }
+  return InsertSubtree(doc, doc.ord_path(n), *sub);
+}
+
+std::unique_ptr<Document> SmallXmark(uint64_t seed) {
   XmarkOptions opts;
   opts.scale = 0.2;
   opts.seed = seed;
-  std::unique_ptr<Document> doc = GenerateXmark(opts);
+  return GenerateXmark(opts);
+}
 
-  std::vector<ViewDef> defs = {
+/// View shapes covering every maintenance path: plain, optional, nested,
+/// content and label-only tuples.
+std::vector<ViewDef> PropertyViews() {
+  return {
       {"plain", MustParsePattern("site(//item{id}(/name{id,v}))")},
       {"opt", MustParsePattern("site(//item{id}(?//keyword{v}))")},
       {"nest", MustParsePattern("site(//item{id}(n//keyword{id,v}))")},
       {"content", MustParsePattern("site(//person{id,c})")},
       {"labels", MustParsePattern("site(//description{id}(//keyword{l}))")},
   };
+}
+
+void RunRandomizedMaintenance(uint64_t seed, int ops, int* performed,
+                              int64_t memory_budget_bytes = 0) {
+  std::unique_ptr<Document> doc = SmallXmark(seed);
+  std::vector<ViewDef> defs = PropertyViews();
   ViewCatalogOptions copts;
   copts.memory_budget_bytes = memory_budget_bytes;
   ViewCatalog catalog(copts);
@@ -434,28 +478,7 @@ void RunRandomizedMaintenance(uint64_t seed, int ops, int* performed,
 
   Rng rng(seed);
   for (int op = 0; op < ops; ++op) {
-    Result<UpdateResult> r = [&]() -> Result<UpdateResult> {
-      if (doc->size() > 2 && rng.Bernoulli(0.45)) {
-        // Delete a random non-root subtree.
-        NodeIndex n = static_cast<NodeIndex>(
-            rng.Uniform(1, static_cast<int64_t>(doc->size()) - 1));
-        return DeleteSubtree(*doc, doc->ord_path(n));
-      }
-      // Insert a pool subtree under a random node — half the time careted
-      // before a random existing child instead of appended.
-      NodeIndex n = static_cast<NodeIndex>(
-          rng.Uniform(0, static_cast<int64_t>(doc->size()) - 1));
-      std::unique_ptr<Document> sub = Doc(
-          kInsertPool[static_cast<size_t>(rng.Uniform(
-              0, static_cast<int64_t>(std::size(kInsertPool)) - 1))]);
-      std::vector<NodeIndex> kids = doc->children(n);
-      if (!kids.empty() && rng.Bernoulli(0.5)) {
-        OrdPath before = doc->ord_path(kids[static_cast<size_t>(
-            rng.Uniform(0, static_cast<int64_t>(kids.size()) - 1))]);
-        return InsertSubtree(*doc, doc->ord_path(n), *sub, &before);
-      }
-      return InsertSubtree(*doc, doc->ord_path(n), *sub);
-    }();
+    Result<UpdateResult> r = RandomUpdate(*doc, &rng);
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     ASSERT_TRUE(catalog.ApplyUpdate(r->delta).ok());
     ExpectMaintainedEqualsRemat(catalog, *r->doc);
@@ -487,6 +510,252 @@ TEST(MaintenanceProperty, RandomSequencesSurviveEvictionUnderTinyBudget) {
   int performed = 0;
   RunRandomizedMaintenance(7, 40, &performed, /*memory_budget_bytes=*/2048);
   EXPECT_GE(performed, 40);
+}
+
+// ---------------------------------------------------------------------------
+// Lazy decode and batching: work proportional to the delta
+// ---------------------------------------------------------------------------
+
+TEST(MaintenanceLazyDecode, DecodesOnlyViewsWithNonEmptyDiffs) {
+  // Under a budget far below the working set every extent is evicted, so a
+  // view the pass reads is a reload. Only views with a non-empty diff may
+  // be read; the rest are shared or carried without decoding.
+  std::unique_ptr<Document> doc = SmallXmark(11);
+  std::vector<ViewDef> defs = PropertyViews();
+  defs.push_back({"auctions", MustParsePattern("site(//open_auction{id})")});
+  defs.push_back({"regions", MustParsePattern("site(/regions{id}(//item{l}))")});
+  ViewCatalogOptions copts;
+  copts.memory_budget_bytes = 2048;
+  ViewCatalog catalog(copts);
+  for (const ViewDef& def : defs) {
+    ASSERT_TRUE(catalog.Materialize(def, *doc).ok());
+  }
+  const MemoryBudget& budget = *catalog.memory_budget();
+  Rng rng(11);
+  int lazy_updates = 0;     // some views had empty diffs
+  int touching_updates = 0;  // some view had a non-empty diff
+  for (int op = 0; op < 24; ++op) {
+    Result<UpdateResult> r = RandomUpdate(*doc, &rng);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    int32_t k = 0;
+    for (const ViewDef& def : defs) {
+      ViewDiff diff = EvaluateViewDiff(def.pattern, def.name, r->delta);
+      if (!diff.Empty() && !diff.full_rebuild) ++k;
+    }
+    const int64_t reloads_before = budget.reloads();
+    MaintenanceStats ms;
+    Trace trace("update");
+    ASSERT_TRUE(catalog
+                    .ApplyUpdateBatch({r->delta}, nullptr, nullptr, &ms,
+                                      trace.root())
+                    .ok());
+    EXPECT_EQ(ms.views_decoded, k) << "op " << op;
+    EXPECT_LE(budget.reloads() - reloads_before, k) << "op " << op;
+    EXPECT_EQ(ms.views_rebuilt, 0);
+    // The pass span carries one child per phase that ran.
+    const TraceSpan* pass = trace.root()->FindChild("maintenance_pass");
+    ASSERT_NE(pass, nullptr);
+    EXPECT_NE(pass->FindChild("delta_eval"), nullptr);
+    EXPECT_NE(pass->FindChild("publish"), nullptr);
+    if (ms.views_touched > 0) {
+      EXPECT_NE(pass->FindChild("decode"), nullptr);
+      EXPECT_NE(pass->FindChild("fold_rows"), nullptr);
+      EXPECT_NE(pass->FindChild("fold_columnar"), nullptr);
+      EXPECT_NE(pass->FindChild("stats"), nullptr);
+    }
+    if (k < static_cast<int32_t>(defs.size())) ++lazy_updates;
+    if (k > 0) ++touching_updates;
+    ExpectMaintainedEqualsRemat(catalog, *r->doc);
+    if (::testing::Test::HasFailure()) return;
+    doc = std::move(r->doc);
+  }
+  EXPECT_GT(lazy_updates, 0);
+  EXPECT_GT(touching_updates, 0);
+}
+
+TEST(MaintenanceLazyDecode, BatchEqualsOneByOne) {
+  // One ApplyUpdateBatch of several deltas (extent read once, folded once)
+  // must leave exactly the extents of applying the deltas one at a time.
+  for (uint64_t seed : {3u, 8u, 13u}) {
+    std::vector<std::unique_ptr<Document>> docs;
+    docs.push_back(SmallXmark(seed));
+    ViewCatalogOptions tiny;
+    tiny.memory_budget_bytes = 2048;
+    ViewCatalog batched(tiny);
+    ViewCatalog stepped;
+    for (const ViewDef& def : PropertyViews()) {
+      ASSERT_TRUE(batched.Materialize(def, *docs.back()).ok());
+      ASSERT_TRUE(stepped.Materialize(def, *docs.back()).ok());
+    }
+    Rng rng(seed);
+    std::vector<DocumentDelta> deltas;
+    for (int step = 0; step < 6; ++step) {
+      Result<UpdateResult> r = RandomUpdate(*docs.back(), &rng);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      ASSERT_TRUE(stepped.ApplyUpdate(r->delta).ok());
+      deltas.push_back(r->delta);
+      docs.push_back(std::move(r->doc));
+    }
+    MaintenanceStats ms;
+    ASSERT_TRUE(batched.ApplyUpdateBatch(deltas, nullptr, nullptr, &ms).ok());
+    EXPECT_EQ(ms.deltas_applied, 6);
+    for (const auto& v : stepped.views()) {
+      const StoredView* b = batched.Find(v->def.name);
+      ASSERT_NE(b, nullptr);
+      EXPECT_EQ(SerializeExtent(b->extent()), SerializeExtent(v->extent()))
+          << v->def.name << " seed " << seed;
+      EXPECT_EQ(ColumnarBytes(*b->columnar), ColumnarBytes(*v->columnar))
+          << v->def.name << " seed " << seed;
+      EXPECT_TRUE(b->stats == v->stats) << v->def.name << " seed " << seed;
+      EXPECT_EQ(b->extent_bytes, v->extent_bytes) << v->def.name;
+    }
+    ExpectMaintainedEqualsRemat(batched, *docs.back());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Content references of views the update does not touch
+// ---------------------------------------------------------------------------
+
+TEST(Maintenance, DeleteOfReferencedNodeMatchesRematerialization) {
+  std::unique_ptr<Document> d = Doc("a(b(c=1) b(c=2) d(e=3))");
+  ViewCatalog catalog;
+  ASSERT_TRUE(
+      catalog.Materialize({"B", MustParsePattern("a(/b{id,c})")}, *d).ok());
+  ASSERT_TRUE(
+      catalog.Materialize({"E", MustParsePattern("a(//e{id,c})")}, *d).ok());
+  const ColumnarExtentPtr e_before = catalog.Find("E")->columnar;
+
+  // Deleting a referenced b removes its tuple; E references nothing under
+  // the deleted subtree and carries its compressed extent unchanged.
+  Result<UpdateResult> del = DeleteSubtree(*d, OrdPath::FromString("1.1"));
+  ASSERT_TRUE(del.ok());
+  MaintenanceStats ms;
+  ASSERT_TRUE(catalog.ApplyUpdate(del->delta, &ms).ok());
+  EXPECT_EQ(ms.views_touched, 1);
+  EXPECT_EQ(ms.views_rebuilt, 0);
+  EXPECT_EQ(ms.views_decoded, 1);
+  EXPECT_EQ(catalog.Find("B")->extent().NumRows(), 1);
+  EXPECT_EQ(catalog.Find("E")->columnar.get(), e_before.get());
+  ExpectMaintainedEqualsRemat(catalog, *del->doc);
+
+  // An insert removes nothing, so E carries again without any check.
+  Result<UpdateResult> ins =
+      InsertSubtree(*del->doc, OrdPath::Root(), *Doc("b(c=4)"));
+  ASSERT_TRUE(ins.ok());
+  ASSERT_TRUE(catalog.ApplyUpdate(ins->delta, &ms).ok());
+  EXPECT_EQ(ms.views_shared, 1);
+  EXPECT_EQ(catalog.Find("E")->columnar.get(), e_before.get());
+  ExpectMaintainedEqualsRemat(catalog, *ins->doc);
+}
+
+TEST(Maintenance, StrandedContentReferenceFallsBackToRebuild) {
+  // An extent registered through Add may hold a reference the pattern's
+  // diff cannot see. When a delete removes the referenced node the view's
+  // diff is empty, yet the reference lies under the deleted region: the
+  // view must be rebuilt, never carried with a dangling reference.
+  std::unique_ptr<Document> d = Doc("a(b(c=1) x(y=2))");
+  Pattern p = MustParsePattern("a(/b{id,c})");
+  Table extent = MaterializeView(p, "S", *d);
+  const OrdPath y_id = OrdPath::FromString("1.2.1");
+  const NodeIndex y = d->FindByOrdPath(y_id);
+  ASSERT_NE(y, kInvalidNode);
+  extent.AddRow({Value(y_id), Value(NodeRef{d.get(), y})});
+  ViewCatalog catalog;
+  ASSERT_TRUE(catalog.Add({"S", p}, std::move(extent)).ok());
+  ASSERT_EQ(catalog.Find("S")->extent().NumRows(), 2);
+
+  Result<UpdateResult> del = DeleteSubtree(*d, OrdPath::FromString("1.2"));
+  ASSERT_TRUE(del.ok());
+  EXPECT_TRUE(EvaluateViewDiff(p, "S", del->delta).Empty());
+  MaintenanceStats ms;
+  ASSERT_TRUE(catalog.ApplyUpdate(del->delta, &ms).ok());
+  EXPECT_EQ(ms.views_rebuilt, 1);
+  EXPECT_EQ(ms.views_decoded, 0);
+  ExpectMaintainedEqualsRemat(catalog, *del->doc);
+}
+
+// ---------------------------------------------------------------------------
+// Canonical order agrees with tuple-key equality
+// ---------------------------------------------------------------------------
+
+TEST(MaintenanceProperty, CanonicalOrderMatchesKeyEquality) {
+  // Maintenance locates rows by binary search in CompareTuples order and
+  // identifies tuples elsewhere (WAL, statistics) by EncodeTupleKey; the
+  // two must agree on equality for every cell kind, including content
+  // references bound to two different documents.
+  std::unique_ptr<Document> d1 = Doc("a(b(c) d(e f))");
+  std::unique_ptr<Document> d2 = Doc("a(b(c) d(e f))");
+  auto nested = std::make_shared<Schema>();
+  nested->Append({"g.id", ColumnKind::kId, nullptr});
+  nested->Append({"g.v", ColumnKind::kValue, nullptr});
+  Rng rng(77);
+  auto cell = [&]() -> Value {
+    static const char* kStrings[] = {"", "a", "ab", "b"};
+    static const char* kIds[] = {"1.1", "1.1.1", "1.1.^.1", "1.0.1", "1.2"};
+    switch (rng.Uniform(0, 4)) {
+      case 0:
+        return Value();
+      case 1:
+        return Value(std::string(kStrings[rng.Uniform(0, 3)]));
+      case 2:
+        return Value(OrdPath::FromString(kIds[rng.Uniform(0, 4)]));
+      case 3: {
+        const Document* doc = rng.Bernoulli(0.5) ? d1.get() : d2.get();
+        return Value(NodeRef{
+            doc, static_cast<NodeIndex>(rng.Uniform(0, doc->size() - 1))});
+      }
+      default: {
+        auto t = std::make_shared<Table>(*nested);
+        for (int64_t i = rng.Uniform(0, 2); i > 0; --i) {
+          t->AddRow({Value(OrdPath::FromString(kIds[rng.Uniform(0, 1)])),
+                     rng.Bernoulli(0.5) ? Value() : Value(std::string("a"))});
+        }
+        return Value(TablePtr(std::move(t)));
+      }
+    }
+  };
+  std::vector<Tuple> pool;
+  for (int i = 0; i < 120; ++i) {
+    Tuple t = {cell(), cell()};
+    pool.push_back(t);
+    // The same tuple with every content reference bound to the other
+    // document: equal by both measures.
+    Tuple other = t;
+    for (Value& v : other) {
+      if (v.IsContent()) {
+        const Document* to = v.AsContent().doc == d1.get() ? d2.get()
+                                                           : d1.get();
+        v = Value(NodeRef{to, v.AsContent().node});
+      }
+    }
+    pool.push_back(std::move(other));
+  }
+  int equal_pairs = 0;
+  int cross_doc_equal = 0;
+  for (const Tuple& a : pool) {
+    for (const Tuple& b : pool) {
+      const int ab = CompareTuples(a, b);
+      const int ba = CompareTuples(b, a);
+      const bool key_equal = EncodeTupleKey(a) == EncodeTupleKey(b);
+      ASSERT_EQ(ab == 0, key_equal)
+          << "order and key disagree on (" << a[0].ToString() << ", "
+          << a[1].ToString() << ") vs (" << b[0].ToString() << ", "
+          << b[1].ToString() << ")";
+      ASSERT_EQ(ab < 0, ba > 0);
+      if (key_equal) {
+        ++equal_pairs;
+        bool cross = false;
+        for (size_t i = 0; i < a.size(); ++i) {
+          cross = cross || (a[i].IsContent() &&
+                            a[i].AsContent().doc != b[i].AsContent().doc);
+        }
+        if (cross) ++cross_doc_equal;
+      }
+    }
+  }
+  EXPECT_GT(equal_pairs, static_cast<int>(pool.size()));  // beyond a == a
+  EXPECT_GT(cross_doc_equal, 0);
 }
 
 }  // namespace

@@ -201,5 +201,66 @@ TEST(MetricRegistryTest, GoldenSummaryClassFamilies) {
             "svx_summary_class_reuses_total 0\n");
 }
 
+TEST(MetricRegistryTest, GoldenLabeledHistogram) {
+  // A labeled histogram series keeps its labels on every line, merged with
+  // `le` on the buckets, and shares HELP/TYPE with its family.
+  MetricRegistry reg;
+  Histogram* decode = reg.histogram("test_phase_us{phase=\"decode\"}",
+                                    "phase time");
+  decode->Observe(0);
+  decode->Observe(5);
+  reg.histogram("test_phase_us{phase=\"publish\"}", "phase time")->Observe(1);
+  const char* expected =
+      "# HELP test_phase_us phase time\n"
+      "# TYPE test_phase_us histogram\n"
+      "test_phase_us_bucket{phase=\"decode\",le=\"0\"} 1\n"
+      "test_phase_us_bucket{phase=\"decode\",le=\"1\"} 1\n"
+      "test_phase_us_bucket{phase=\"decode\",le=\"3\"} 1\n"
+      "test_phase_us_bucket{phase=\"decode\",le=\"7\"} 2\n"
+      "test_phase_us_bucket{phase=\"decode\",le=\"+Inf\"} 2\n"
+      "test_phase_us_sum{phase=\"decode\"} 5\n"
+      "test_phase_us_count{phase=\"decode\"} 2\n"
+      "test_phase_us_bucket{phase=\"publish\",le=\"0\"} 0\n"
+      "test_phase_us_bucket{phase=\"publish\",le=\"1\"} 1\n"
+      "test_phase_us_bucket{phase=\"publish\",le=\"+Inf\"} 1\n"
+      "test_phase_us_sum{phase=\"publish\"} 1\n"
+      "test_phase_us_count{phase=\"publish\"} 1\n";
+  EXPECT_EQ(reg.RenderPrometheusText(), expected);
+}
+
+TEST(MetricRegistryTest, GoldenMaintenancePhaseFamilies) {
+  // Nothing in this binary runs maintenance, so every series is zero; the
+  // standard catalog still exposes every phase.
+  metrics::RegisterStandardMetrics();
+  std::string text = MetricRegistry::Global().RenderPrometheusText();
+  std::string phases =
+      "# HELP svx_maintenance_phase_us Time one maintenance pass spent in a "
+      "phase, summed over views (us)\n"
+      "# TYPE svx_maintenance_phase_us histogram\n";
+  for (const char* phase :
+       {"decode", "delta_eval", "fold_columnar", "fold_rows", "persist",
+        "publish", "stats", "wal_append"}) {
+    const std::string label = std::string("phase=\"") + phase + "\"";
+    phases += "svx_maintenance_phase_us_bucket{" + label + ",le=\"0\"} 0\n";
+    phases +=
+        "svx_maintenance_phase_us_bucket{" + label + ",le=\"+Inf\"} 0\n";
+    phases += "svx_maintenance_phase_us_sum{" + label + "} 0\n";
+    phases += "svx_maintenance_phase_us_count{" + label + "} 0\n";
+  }
+  EXPECT_EQ(FamilyBlock(text, "svx_maintenance_phase_us"), phases);
+  EXPECT_EQ(FamilyBlock(text, "svx_maintenance_views_decoded_total"),
+            "# HELP svx_maintenance_views_decoded_total Views whose rows "
+            "maintenance read because their diff was non-empty\n"
+            "# TYPE svx_maintenance_views_decoded_total counter\n"
+            "svx_maintenance_views_decoded_total 0\n");
+  for (int i = 0; i < metrics::kMaintenancePhases; ++i) {
+    const auto phase = static_cast<metrics::MaintenancePhase>(i);
+    EXPECT_EQ(metrics::MaintenancePhaseUs(phase),
+              MetricRegistry::Global().histogram(
+                  std::string("svx_maintenance_phase_us{phase=\"") +
+                  metrics::MaintenancePhaseName(phase) + "\"}"));
+  }
+}
+
 }  // namespace
 }  // namespace svx
